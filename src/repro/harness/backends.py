@@ -32,13 +32,14 @@ through SQLite with no new flags.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sqlite3
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 #: Path suffixes that select the SQLite backend.
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
@@ -234,10 +235,12 @@ class SQLiteBackend(StoreBackend):
 
     Concurrency model:
 
-    - **connections** are per-thread (a :class:`threading.local`), so
-      one backend object is safe to share across the service's worker
-      threads; separate processes open their own connections against
-      the same file.
+    - **connections** are pooled: each call borrows an idle connection
+      (opening one only when none is idle) and returns it, so one
+      backend object is safe to share across the service's worker and
+      per-request threads, and the number open tracks peak concurrency
+      rather than the number of threads ever started; separate
+      processes open their own connections against the same file.
     - **WAL** journal mode lets any number of readers proceed while a
       writer commits; ``busy_timeout`` makes competing writers queue
       instead of erroring.
@@ -267,29 +270,41 @@ class SQLiteBackend(StoreBackend):
     def __init__(self, path, timeout: float = 30.0) -> None:
         self.root = Path(path)
         self.timeout = timeout
-        self._local = threading.local()
-        self._connections: List[sqlite3.Connection] = []
-        self._connections_lock = threading.Lock()
+        self._idle: List[sqlite3.Connection] = []
+        self._idle_lock = threading.Lock()
         # Create the schema eagerly so concurrent first users (and
         # read-only consumers like `repro report`) never race DDL.
-        self._connection()
-
-    def _connection(self) -> sqlite3.Connection:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            self.root.parent.mkdir(parents=True, exist_ok=True)
-            connection = sqlite3.connect(self.root, timeout=self.timeout)
-            connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=NORMAL")
-            connection.execute(
-                f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
+        with self._connection() as connection:
             for statement in self._SCHEMA_SQL:
                 connection.execute(statement)
             connection.commit()
-            self._local.connection = connection
-            with self._connections_lock:
-                self._connections.append(connection)
+
+    def _open(self) -> sqlite3.Connection:
+        self.root.parent.mkdir(parents=True, exist_ok=True)
+        # A pooled connection moves between threads, but only one
+        # thread holds it at a time.
+        connection = sqlite3.connect(self.root, timeout=self.timeout,
+                                     check_same_thread=False)
+        connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute("PRAGMA synchronous=NORMAL")
+        connection.execute(f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
         return connection
+
+    @contextlib.contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """Borrow an idle connection (opening one only when none is idle)
+        and return it to the pool afterwards, so the number open never
+        exceeds the peak number of concurrent callers — however many
+        short-lived request threads the service starts."""
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = self._open()
+        try:
+            yield connection
+        finally:
+            with self._idle_lock:
+                self._idle.append(connection)
 
     @staticmethod
     def _decode(text: Optional[str]) -> Optional[Dict[str, Any]]:
@@ -301,16 +316,18 @@ class SQLiteBackend(StoreBackend):
             return None
         return payload if isinstance(payload, dict) else None
 
+    def _fetch(self, sql: str, parameters=()) -> List[tuple]:
+        with self._connection() as connection:
+            return connection.execute(sql, parameters).fetchall()
+
     def _get(self, table: str, key_column: str, key: str) -> Optional[str]:
-        row = self._connection().execute(
-            f"SELECT record FROM {table} WHERE {key_column} = ?",
-            (key,)).fetchone()
-        return row[0] if row is not None else None
+        rows = self._fetch(
+            f"SELECT record FROM {table} WHERE {key_column} = ?", (key,))
+        return rows[0][0] if rows else None
 
     def _put(self, table: str, key_column: str, key: str,
              record: Dict[str, Any]) -> None:
-        connection = self._connection()
-        with connection:
+        with self._connection() as connection, connection:
             connection.execute(
                 f"INSERT OR REPLACE INTO {table} ({key_column}, record) "
                 "VALUES (?, ?)", (key, _dumps(record)))
@@ -323,9 +340,7 @@ class SQLiteBackend(StoreBackend):
         self._put("cells", "fingerprint", fingerprint, record)
 
     def cell_count(self) -> int:
-        row = self._connection().execute(
-            "SELECT COUNT(*) FROM cells").fetchone()
-        return int(row[0])
+        return int(self._fetch("SELECT COUNT(*) FROM cells")[0][0])
 
     # -- sweeps -------------------------------------------------------------
     def load_sweep(self, name: str) -> Optional[Dict[str, Any]]:
@@ -335,8 +350,7 @@ class SQLiteBackend(StoreBackend):
         self._put("sweeps", "name", name, record)
 
     def sweep_names(self) -> List[str]:
-        rows = self._connection().execute(
-            "SELECT name FROM sweeps ORDER BY name").fetchall()
+        rows = self._fetch("SELECT name FROM sweeps ORDER BY name")
         return [row[0] for row in rows]
 
     # -- jobs ---------------------------------------------------------------
@@ -347,8 +361,7 @@ class SQLiteBackend(StoreBackend):
         self._put("jobs", "id", job_id, record)
 
     def update_job(self, job_id, mutate):
-        connection = self._connection()
-        with connection:
+        with self._connection() as connection, connection:
             # BEGIN IMMEDIATE takes the write lock *before* the read, so
             # two workers incrementing one job's counters serialize
             # rather than both reading the same snapshot.
@@ -365,19 +378,17 @@ class SQLiteBackend(StoreBackend):
             return record
 
     def job_ids(self) -> List[str]:
-        rows = self._connection().execute(
-            "SELECT id FROM jobs ORDER BY id").fetchall()
+        rows = self._fetch("SELECT id FROM jobs ORDER BY id")
         return [row[0] for row in rows]
 
     def close(self) -> None:
-        with self._connections_lock:
-            connections, self._connections = self._connections, []
+        with self._idle_lock:
+            connections, self._idle = self._idle, []
         for connection in connections:
             try:
                 connection.close()
             except sqlite3.Error:
                 pass
-        self._local = threading.local()
 
 
 def is_sqlite_path(path) -> bool:

@@ -73,9 +73,9 @@ class PhaseBudget:
     - **scheduler** — the conditioned network's event-queue machinery
       (``ConditionedNetwork.advance_to``: staging-window drain into the
       timestamp heap, latency/drop coin draws, due-event pops).  Zero
-      for unconditioned executions; under the lock-step synchronizer it
-      additionally absorbs the per-tick no-op churn the event engine
-      skips.
+      for unconditioned executions.  ``advance_calls`` counts the ticks
+      the event engine visited; it does not grow with Δ, because idle
+      ticks are skipped.
     - **verify** — ``authenticator.check`` (the cryptographic predicate,
       wherever invoked: node handlers, sandboxed corrupt nodes, the
       memoization layer on a miss).
@@ -95,6 +95,7 @@ class PhaseBudget:
     sizing_seconds: float
     other_seconds: float
     check_calls: int
+    advance_calls: int
 
     def budget_dict(self) -> dict:
         """The attribution as a plain dict (for JSON snapshots)."""
@@ -107,35 +108,35 @@ class PhaseBudget:
             "sizing_seconds": round(self.sizing_seconds, 4),
             "other_seconds": round(self.other_seconds, 4),
             "check_calls": self.check_calls,
+            "advance_calls": self.advance_calls,
         }
 
 
 def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
-                         conditions: Optional[NetworkConditions] = None,
-                         scheduler: Optional[str] = None) -> PhaseBudget:
+                         conditions: Optional[NetworkConditions] = None
+                         ) -> PhaseBudget:
     """Run ``instance`` attributing wall time to deliver / scheduler /
     protocol-step / verify / sizing.
 
-    ``conditions``/``scheduler`` run the execution under network
-    conditions with an explicit conditioned loop (``"event"`` /
-    ``"lockstep"``) — the A/B axis of the event-engine benchmark.
+    ``conditions`` runs the execution under network conditions on the
+    event engine.
 
     Instrumentation wraps the five seams the phases flow through:
     ``SynchronousNetwork.deliver`` (class-level — the network is built
     inside the engine), ``ConditionedNetwork.advance_to`` (class-level —
-    the event-queue turnover both conditioned loops funnel through),
+    the event-queue turnover of conditioned executions),
     ``Simulation._honest_step`` (class-level), the metrics module's
     ``encoded_size_bits`` binding, and the instance's
     ``authenticator.check``.  All wrappers are restored on exit; the
     function is not reentrant (profile one execution at a time).
     Verify/sizing time inside the honest step is subtracted from the
-    *protocol* bucket so the buckets stay disjoint; ``ConditionedNetwork``
-    overrides ``deliver`` (so conditioned turnover never lands in the
-    *deliver* bucket) and the lock-step wrapper's own ``advance_to``
-    calls land in *scheduler*, keeping those two disjoint as well.
+    *protocol* bucket so the buckets stay disjoint; the event engine
+    drives conditioned turnover through ``advance_to`` alone, so it never
+    lands in the *deliver* bucket.
     """
     state = {"deliver": 0.0, "scheduler": 0.0, "step": 0.0, "verify": 0.0,
-             "sizing": 0.0, "nested": 0.0, "in_step": False, "checks": 0}
+             "sizing": 0.0, "nested": 0.0, "in_step": False, "checks": 0,
+             "advances": 0}
     perf_counter = time.perf_counter
 
     orig_deliver = SynchronousNetwork.deliver
@@ -155,6 +156,7 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
         start = perf_counter()
         out = orig_advance(self, round_index)
         state["scheduler"] += perf_counter() - start
+        state["advances"] += 1
         return out
 
     def timed_step(self, round_index, inboxes):
@@ -193,7 +195,7 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
     try:
         start = perf_counter()
         result = run_instance(instance, f, seed=seed,
-                              conditions=conditions, scheduler=scheduler)
+                              conditions=conditions)
         wall = perf_counter() - start
     finally:
         SynchronousNetwork.deliver = orig_deliver
@@ -215,4 +217,5 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
         sizing_seconds=state["sizing"],
         other_seconds=other,
         check_calls=state["checks"],
+        advance_calls=state["advances"],
     )

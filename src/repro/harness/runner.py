@@ -31,16 +31,8 @@ def run_instance(
     max_rounds: Optional[int] = None,
     transcript_retention: str = TRANSCRIPT_FULL,
     conditions: Optional[NetworkConditions] = None,
-    scheduler: Optional[str] = None,
 ) -> ExecutionResult:
-    """Execute one protocol instance against one adversary.
-
-    ``scheduler`` selects the conditioned-execution loop (``"event"`` /
-    ``"lockstep"``; ``None`` = the engine default, overridable via
-    ``REPRO_SCHEDULER``) — the two are result-identical by the
-    conformance suite, so this knob only matters for A/B timing and the
-    differential tests themselves.
-    """
+    """Execute one protocol instance against one adversary."""
     simulation = Simulation(
         nodes=instance.nodes,
         corruption_budget=f,
@@ -53,7 +45,6 @@ def run_instance(
         mining_capabilities=instance.mining_capabilities,
         transcript_retention=transcript_retention,
         conditions=conditions,
-        scheduler=scheduler,
     )
     return simulation.run()
 
@@ -286,10 +277,10 @@ def run_trials(
     elif pool is not None and seeds:
         # Even a single seed routes through the lent pool: the pool's
         # worker processes carry state the caller lent it to preserve
-        # (per-worker lottery caches, the REPRO_SCHEDULER environment),
-        # and running the lone seed in the parent would silently bypass
-        # both.  Results are pool-vs-inline identical either way (each
-        # trial is independently seeded; pinned by tests).
+        # (per-worker lottery caches), and running the lone seed in the
+        # parent would silently bypass them.  Results are pool-vs-inline
+        # identical either way (each trial is independently seeded;
+        # pinned by tests).
         futures = [
             pool.submit(_run_one_trial, builder, f, seed,
                         adversary_factory, model, transcript_retention,

@@ -636,11 +636,10 @@ def _stats_metrics(stats: TrialStats,
         metrics["mean_delivery_latency"] = stats.mean_delivery_latency
         metrics["max_in_flight"] = stats.max_in_flight
         metrics["dropped_copies"] = stats.dropped_copies
-        # Scheduler accounting.  Both columns are engine-invariant (the
-        # lock-step synchronizer executes the idle ticks the event
-        # engine skips, and counts the same number), so artifacts stay
-        # byte-identical across schedulers — the CI event-engine-smoke
-        # job cmp's them directly.
+        # Scheduler accounting.  Both columns count what a per-tick loop
+        # would see (idle ticks the event engine skips are counted, not
+        # visited), so they match the Δ-lockstep test reference and the
+        # artifacts stay byte-identical to the recorded goldens.
         metrics["skipped_ticks"] = stats.skipped_ticks
         metrics["events_processed"] = stats.events_processed
     # Likewise the rounds-saved column appears only for the early-stop

@@ -476,9 +476,9 @@ class NetworkStats:
     network_rounds: int = 0
     #: Idle network ticks: rounds in which the network neither drained a
     #: staging window nor popped a due event.  The event engine skips
-    #: them outright; the lock-step synchronizer executes them as no-ops
-    #: and counts the same rounds — so the field is engine-invariant and
-    #: the conformance suite compares it directly.  Its ratio to
+    #: them outright; the lock-step test reference executes them as
+    #: no-ops and counts the same rounds — so the conformance suite
+    #: compares the field directly.  Its ratio to
     #: ``network_rounds`` is the empty-round density the event engine's
     #: wall-clock win is proportional to.
     skipped_ticks: int = 0
@@ -709,7 +709,7 @@ class ConditionedNetwork(SynchronousNetwork):
 
     def finish_clock(self, network_rounds: Round) -> None:
         """Account the idle tail between the last executed tick and the
-        round limit — the lock-step loop runs its clock all the way out,
+        round limit — a per-tick loop runs its clock all the way out,
         so an event-engine execution that exhausts its round budget must
         do the same for ``network_rounds``/``skipped_ticks`` to agree."""
         tail = network_rounds - self._delivered_round - 1
@@ -726,10 +726,10 @@ class ConditionedNetwork(SynchronousNetwork):
         recipients ascending, all coins come from one labelled RNG stream
         derived from the trial seed, and due copies are delivered in
         queue order — so identical seeds and conditions replay
-        byte-identically.  This is the Δ-lockstep synchronizer's per-tick
-        entry point; the event engine calls :meth:`advance_to` directly
-        and skips the idle ticks this method would spend returning empty
-        inboxes.
+        byte-identically.  This is the per-tick entry point the
+        Δ-lockstep test reference drives; the event engine calls
+        :meth:`advance_to` directly and skips the idle ticks this method
+        would spend returning empty inboxes.
         """
         inboxes: Dict[NodeId, List[Delivery]] = {
             node: [] for node in range(self.n)}

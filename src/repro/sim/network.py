@@ -265,20 +265,3 @@ class SynchronousNetwork:
         self._reset_window()
         self._delivered_round += 1
         return RoundInboxes(self.n, entries)
-
-
-def legacy_deliver(network: SynchronousNetwork) -> Dict[NodeId, List[Delivery]]:
-    """Reference implementation of delivery: eager per-recipient expansion.
-
-    Kept (as a test helper, not production code) so differential tests
-    can assert the batched :meth:`SynchronousNetwork.deliver` produces
-    exactly what the historical O(n²) eager path produced.  Consumes the
-    staging window through the same :meth:`~SynchronousNetwork._drain_staged`
-    per-copy contract the conditioned network uses.
-    """
-    inboxes: Dict[NodeId, List[Delivery]] = {
-        node: [] for node in range(network.n)}
-    network._drain_staged(
-        lambda envelope, recipient, delivery: inboxes[recipient].append(delivery))
-    network._delivered_round += 1
-    return inboxes

@@ -14,8 +14,8 @@ from repro.adversaries import ActualFaultsAdversary, CrashAdversary
 from repro.harness.runner import run_instance
 from repro.protocols import build_adaptive_ba
 from repro.sim.conditions import NETWORKS
-from repro.sim.engine import SCHEDULER_EVENT, SCHEDULER_LOCKSTEP, Simulation
-from tests.engines import both_engines
+from repro.sim.engine import Simulation
+from tests.engines import lockstep
 
 
 def _snapshot(result):
@@ -62,30 +62,29 @@ GRID = [(network, adversary)
 ]
 
 
-def _execute(network, adversary, scheduler, **kwargs):
+def _execute(network, adversary, **kwargs):
     conditions = NETWORKS[network]
     instance = build_adaptive_ba(10, 3, _inputs(10), seed=7,
                                  conditions=conditions)
     return run_instance(instance, 3, ADVERSARIES[adversary](),
-                        seed=7, conditions=conditions, scheduler=scheduler,
-                        **kwargs)
+                        seed=7, conditions=conditions, **kwargs)
 
 
 class TestBothEnginesIdentity:
     @pytest.mark.parametrize("network,adversary", GRID,
                              ids=[f"{n}-{a}" for n, a in GRID])
     def test_event_engine_matches_lockstep(self, network, adversary):
-        event = _execute(network, adversary, SCHEDULER_EVENT)
-        lockstep = _execute(network, adversary, SCHEDULER_LOCKSTEP)
-        assert _snapshot(event) == _snapshot(lockstep)
+        event = _execute(network, adversary)
+        with lockstep():
+            reference = _execute(network, adversary)
+        assert _snapshot(event) == _snapshot(reference)
         # Real conditioned executions, not fast-path ones — and the
         # guarantees hold while the engines agree.
         assert event.network_stats is not None
         assert event.consistent() and event.agreement_valid()
 
-    @both_engines
-    def test_decides_on_either_engine(self, engine):
-        result = _execute("wan", "none", engine)
+    def test_decides_on_the_event_engine(self):
+        result = _execute("wan", "none")
         assert result.all_decided() and result.consistent()
 
     def test_rng_streams_end_in_the_same_state(self):
@@ -94,7 +93,7 @@ class TestBothEnginesIdentity:
         same state under both loops."""
         conditions = NETWORKS["lossy"]
 
-        def final_rng_state(scheduler):
+        def final_rng_state():
             instance = build_adaptive_ba(10, 3, _inputs(10), seed=13,
                                          conditions=conditions)
             simulation = Simulation(
@@ -102,9 +101,11 @@ class TestBothEnginesIdentity:
                 max_rounds=instance.max_rounds, inputs=instance.inputs,
                 signing_capabilities=instance.signing_capabilities,
                 mining_capabilities=instance.mining_capabilities,
-                conditions=conditions, scheduler=scheduler)
+                conditions=conditions)
             simulation.run()
             return simulation.network._rng.getstate()
 
-        assert final_rng_state(SCHEDULER_EVENT) == \
-            final_rng_state(SCHEDULER_LOCKSTEP)
+        event = final_rng_state()
+        with lockstep():
+            reference = final_rng_state()
+        assert event == reference

@@ -9,6 +9,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 from repro.harness.backends import (
     SQLITE_SUFFIXES,
     JsonTreeBackend,
@@ -178,6 +180,146 @@ class TestSqliteThreadConcurrency:
         for thread in threads:
             thread.join()
         assert backend.load_job("job")["computed"] == 6 * 50
+        backend.close()
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every connection the SQLite backend opens, in order, each with the
+    statements it has executed so far (``opened[i].statements``)."""
+    connections = []
+    connect = sqlite3.connect
+
+    class Traced:
+        def __init__(self, connection):
+            self.connection = connection
+            self.statements = []
+            connection.set_trace_callback(self.statements.append)
+
+    def traced_connect(*args, **kwargs):
+        connection = connect(*args, **kwargs)
+        connections.append(Traced(connection))
+        return connection
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
+    return connections
+
+
+class TestSqliteConnectionPool:
+    """Connections are borrowed from a pool and returned after each call,
+    so the number open tracks peak concurrency, not threads served."""
+
+    def test_sequential_threads_share_one_connection(self, tmp_path,
+                                                     opened):
+        backend = SQLiteBackend(tmp_path / "corpus.sqlite")
+        for index in range(30):
+            fingerprint = f"cell-{index:02d}"
+            thread = threading.Thread(target=backend.save_cell,
+                                      args=(fingerprint,
+                                            _record(fingerprint)))
+            thread.start()
+            thread.join()
+        assert backend.cell_count() == 30
+        assert len(opened) == 1
+        backend.close()
+
+    def test_reader_beside_a_writer_opens_a_second_connection(
+            self, tmp_path, opened):
+        # A job update holds its connection (and the write lock) while
+        # another thread reads: the reader must get its own connection
+        # and see the last committed record, and once both are back in
+        # the pool no later call opens another.
+        backend = SQLiteBackend(tmp_path / "corpus.sqlite")
+        backend.save_job("job", {"computed": 0})
+        inside, release = threading.Event(), threading.Event()
+        seen = []
+
+        def slow_bump(record):
+            inside.set()
+            assert release.wait(timeout=30)
+            record["computed"] += 1
+            return record
+
+        writer = threading.Thread(target=backend.update_job,
+                                  args=("job", slow_bump))
+        writer.start()
+        try:
+            assert inside.wait(timeout=30)
+            seen.append(backend.load_job("job"))
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert seen == [{"computed": 0}]
+        assert len(opened) == 2
+        for _ in range(10):
+            backend.update_job("job", slow_bump)
+        assert backend.load_job("job") == {"computed": 11}
+        assert len(opened) == 2
+        backend.close()
+
+    def test_failed_update_rolls_back_and_returns_its_connection(
+            self, tmp_path, opened):
+        backend = SQLiteBackend(tmp_path / "corpus.sqlite")
+        backend.save_job("job", {"computed": 0})
+
+        def broken(record):
+            record["computed"] = -1
+            raise RuntimeError("mutation failed")
+
+        with pytest.raises(RuntimeError):
+            backend.update_job("job", broken)
+        assert backend.load_job("job") == {"computed": 0}
+        # The pooled connection left no transaction open: the next
+        # BEGIN IMMEDIATE on it succeeds.
+        backend.update_job("job", lambda record: dict(record, computed=1))
+        assert backend.load_job("job") == {"computed": 1}
+        assert len(opened) == 1
+        backend.close()
+
+    def test_schema_is_created_once_per_backend(self, tmp_path, opened):
+        backend = SQLiteBackend(tmp_path / "corpus.sqlite", timeout=2.5)
+        backend.save_job("job", {"computed": 0})
+        inside, release = threading.Event(), threading.Event()
+
+        def held(record):
+            inside.set()
+            assert release.wait(timeout=30)
+            return record
+
+        writer = threading.Thread(target=backend.update_job,
+                                  args=("job", held))
+        writer.start()
+        try:
+            assert inside.wait(timeout=30)
+            backend.job_ids()
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert len(opened) == 2
+        ddl = [[statement for statement in traced.statements
+                if statement.startswith("CREATE TABLE")]
+               for traced in opened]
+        assert ddl == [list(SQLiteBackend._SCHEMA_SQL), []]
+        # Every pooled connection keeps WAL and the busy timeout.
+        for traced in opened:
+            pragmas = [statement for statement in traced.statements
+                       if statement.startswith("PRAGMA")]
+            assert pragmas == ["PRAGMA journal_mode=WAL",
+                               "PRAGMA synchronous=NORMAL",
+                               "PRAGMA busy_timeout=2500"]
+        backend.close()
+
+    def test_close_closes_pooled_connections_and_backend_reopens(
+            self, tmp_path, opened):
+        backend = SQLiteBackend(tmp_path / "corpus.sqlite")
+        backend.save_cell("cell", _record("cell"))
+        backend.close()
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError):
+            opened[0].connection.execute("SELECT 1")
+        assert backend.load_cell("cell") == _record("cell")
+        assert len(opened) == 2
         backend.close()
 
 

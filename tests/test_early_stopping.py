@@ -28,7 +28,6 @@ from repro.protocols.messages import AckMsg
 from repro.protocols.phase_king import phase_king_rounds
 from repro.sim.adversary import Adversary
 from repro.sim.conditions import NETWORKS, NetworkConditions
-from tests.engines import both_engines
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +159,7 @@ class TestPhaseKingEarlyStop:
         assert result.rounds_executed == budget
         assert result.rounds_saved == 0
 
-    @both_engines
-    def test_gst_gate_defers_detection(self, engine):
+    def test_gst_gate_defers_detection(self):
         """Under gst > 0 the detector must ignore pre-GST epochs even if
         a view looks unanimous: no decision lands before the first
         trusted tally round."""
@@ -174,12 +172,11 @@ class TestPhaseKingEarlyStop:
             instance = build_phase_king_early_stop(
                 n, f, [1] * n, seed=seed, conditions=conditions)
             result = run_instance(instance, f, seed=seed,
-                                  conditions=conditions, scheduler=engine)
+                                  conditions=conditions)
             assert result.consistent() and result.agreement_valid()
             assert min(result.decision_rounds()) > trusted
 
-    @both_engines
-    def test_randomized_conditions_property(self, engine):
+    def test_randomized_conditions_property(self):
         """Seeded sweep over random Δ-bounded conditions: agreement,
         validity, and termination hold while detection staggers."""
         rng = random.Random(20260728)
@@ -196,7 +193,7 @@ class TestPhaseKingEarlyStop:
                 n, f, [i % 2 for i in range(n)], seed=seed,
                 conditions=conditions)
             result = run_instance(instance, f, seed=seed,
-                                  conditions=conditions, scheduler=engine)
+                                  conditions=conditions)
             assert result.consistent(), (trial, delta, gst, drop, seed)
             assert result.agreement_valid(), (trial, delta, gst, drop, seed)
             assert result.all_decided(), (trial, delta, gst, drop, seed)
@@ -237,8 +234,7 @@ class TestQuadraticEarlyStop:
             assert early.rounds_saved == plain.rounds_saved
             assert len(early.transcript) == len(plain.transcript)
 
-    @both_engines
-    def test_randomized_conditions_property(self, engine):
+    def test_randomized_conditions_property(self):
         """Random Δ-bounded conditions with the Δ-deadline scheduler and
         crashes: the variant keeps the invariants of the original."""
         rng = random.Random(42)
@@ -256,7 +252,7 @@ class TestQuadraticEarlyStop:
                 n, f, [i % 2 for i in range(n)], seed=seed,
                 conditions=conditions)
             result = run_instance(instance, f, adversary, seed=seed,
-                                  conditions=conditions, scheduler=engine)
+                                  conditions=conditions)
             assert result.consistent(), (trial, delta, gst, seed)
             assert result.agreement_valid(), (trial, delta, gst, seed)
 

@@ -36,8 +36,8 @@ from repro.protocols import (
 )
 from repro.protocols.leader_ba import decision_view_of
 from repro.sim.conditions import NETWORKS, NetworkConditions
-from repro.sim.engine import SCHEDULER_EVENT, SCHEDULER_LOCKSTEP, Simulation
-from tests.engines import both_engines
+from repro.sim.engine import Simulation
+from tests.engines import lockstep
 
 
 def _snapshot(result):
@@ -95,12 +95,11 @@ def _build(builder, conditions):
                            conditions=conditions)
 
 
-def _execute(builder, network, adversary, scheduler, **kwargs):
+def _execute(builder, network, adversary, **kwargs):
     conditions = NETWORKS[network]
     instance = _build(builder, conditions)
     return run_instance(instance, 3, ADVERSARIES[adversary](instance),
-                        seed=7, conditions=conditions, scheduler=scheduler,
-                        **kwargs)
+                        seed=7, conditions=conditions, **kwargs)
 
 
 class TestBothEnginesIdentity:
@@ -108,18 +107,17 @@ class TestBothEnginesIdentity:
                              ids=[f"{b}-{n}-{a}" for b, n, a in GRID])
     def test_event_engine_matches_lockstep(self, builder, network,
                                            adversary):
-        event = _execute(builder, network, adversary, SCHEDULER_EVENT)
-        lockstep = _execute(builder, network, adversary,
-                            SCHEDULER_LOCKSTEP)
-        assert _snapshot(event) == _snapshot(lockstep)
+        event = _execute(builder, network, adversary)
+        with lockstep():
+            reference = _execute(builder, network, adversary)
+        assert _snapshot(event) == _snapshot(reference)
         # Real conditioned executions, not fast-path ones — and the
         # guarantees hold while the engines agree.
         assert event.network_stats is not None
         assert event.consistent() and event.agreement_valid()
 
-    @both_engines
-    def test_decides_on_either_engine(self, engine):
-        result = _execute("leader-ba", "wan", "none", engine)
+    def test_decides_on_the_event_engine(self):
+        result = _execute("leader-ba", "wan", "none")
         assert result.all_decided() and result.consistent()
 
     def test_rng_streams_end_in_the_same_state(self):
@@ -128,7 +126,7 @@ class TestBothEnginesIdentity:
         same state under both loops."""
         conditions = NETWORKS["lossy"]
 
-        def final_rng_state(scheduler):
+        def final_rng_state():
             instance = build_leader_ba(10, 3, _inputs(10), seed=13,
                                        conditions=conditions)
             simulation = Simulation(
@@ -136,12 +134,14 @@ class TestBothEnginesIdentity:
                 max_rounds=instance.max_rounds, inputs=instance.inputs,
                 signing_capabilities=instance.signing_capabilities,
                 mining_capabilities=instance.mining_capabilities,
-                conditions=conditions, scheduler=scheduler)
+                conditions=conditions)
             simulation.run()
             return simulation.network._rng.getstate()
 
-        assert final_rng_state(SCHEDULER_EVENT) == \
-            final_rng_state(SCHEDULER_LOCKSTEP)
+        event = final_rng_state()
+        with lockstep():
+            reference = final_rng_state()
+        assert event == reference
 
 
 class TestQuorumThreshold:
@@ -175,8 +175,7 @@ class TestQuorumThreshold:
                                        conditions=conditions)
             adversary = ViewSplitAdversary(instance)
             result = run_instance(instance, f, adversary, seed=seed,
-                                  conditions=conditions,
-                                  scheduler=SCHEDULER_EVENT)
+                                  conditions=conditions)
             assert result.consistent(), f"n={n} f={f} seed {seed}"
             assert result.agreement_valid(), f"n={n} f={f} seed {seed}"
 
@@ -194,8 +193,7 @@ class TestLeaderKillerRegressions:
                                        conditions=conditions)
             adversary = LeaderKillerAdversary(instance)
             result = run_instance(instance, 3, adversary, seed=seed,
-                                  conditions=conditions,
-                                  scheduler=SCHEDULER_EVENT)
+                                  conditions=conditions)
             assert result.all_decided(), f"seed {seed}"
             assert result.consistent() and result.agreement_valid()
             # The budget is spent on announced leaders, nobody else.

@@ -21,6 +21,7 @@ reproduces from the case number alone):
   honest nodes.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from repro.protocols.leader_ba import (
     default_views_per_height,
 )
 from repro.sim.conditions import LinkTopology, NetworkConditions, Partition
+from tests.engines import lockstep
 
 #: 120 sampled adversarial configurations (above the satellite's 100
 #: floor), split into chunks so a failing sample names a small replay
@@ -146,9 +148,11 @@ class TestLeaderBaProperties:
                                        conditions=conditions)
             histories = instrument_locks(instance)
             adversary = make_adversary(kind, instance, seed)
-            result = run_instance(instance, f, adversary, seed=seed,
-                                  conditions=conditions,
-                                  scheduler=scheduler)
+            engine = (lockstep() if scheduler == "lockstep"
+                      else contextlib.nullcontext())
+            with engine:
+                result = run_instance(instance, f, adversary, seed=seed,
+                                      conditions=conditions)
             context = (f"case {case}: n={n} f={f} heights={heights} "
                        f"adversary={kind} {scheduler} "
                        f"{conditions.describe()}")
@@ -196,8 +200,7 @@ class TestLeaderBaTargeted:
                                            conditions=conditions)
                 adversary = ViewSplitAdversary(instance)
                 result = run_instance(instance, 2, adversary, seed=seed,
-                                      conditions=conditions,
-                                      scheduler="event")
+                                      conditions=conditions)
                 assert result.consistent() and result.all_decided()
                 assert set(result.honest_outputs) == {bit}
 

@@ -14,7 +14,6 @@ from repro.sim.conditions import (
     Partition,
 )
 from repro.sim.network import SynchronousNetwork
-from tests.engines import both_engines
 
 
 def drain(network, rounds):
@@ -263,13 +262,11 @@ class TestPartitions:
         assert not partition.separates(3, 3, n=4)
         assert partition.separates(0, 3, n=4)
 
-    @both_engines
-    def test_partition_heals_in_engine_execution(self, engine):
+    def test_partition_heals_in_engine_execution(self):
         conditions = NETWORKS["split-heal"]
         n, f = 12, 2
         instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=4)
-        result = run_instance(instance, f, seed=4, conditions=conditions,
-                              scheduler=engine)
+        result = run_instance(instance, f, seed=4, conditions=conditions)
         assert result.consistent()
         assert result.all_decided()
         assert result.network_stats.deferred_copies > 0
@@ -299,8 +296,7 @@ class TestEngineIntegration:
         assert plain.metrics.multicast_complexity_bits == \
             perfect.metrics.multicast_complexity_bits
 
-    @both_engines
-    def test_rounds_executed_counts_protocol_rounds(self, engine):
+    def test_rounds_executed_counts_protocol_rounds(self):
         """Round dilation is internal: the result still reports protocol
         rounds, comparable across network conditions."""
         n, f = 10, 2
@@ -308,15 +304,14 @@ class TestEngineIntegration:
             build_quadratic_ba(n, f, [1] * n, seed=1), f, seed=1)
         conditioned = run_instance(
             build_quadratic_ba(n, f, [1] * n, seed=1), f, seed=1,
-            conditions=NETWORKS["wan"], scheduler=engine)
+            conditions=NETWORKS["wan"])
         assert conditioned.rounds_executed == plain.rounds_executed
 
-    @both_engines
-    def test_network_stats_accounting(self, engine):
+    def test_network_stats_accounting(self):
         n, f = 10, 2
         result = run_instance(
             build_quadratic_ba(n, f, [1] * n, seed=2), f, seed=2,
-            conditions=NETWORKS["wan"], scheduler=engine)
+            conditions=NETWORKS["wan"])
         stats = result.network_stats
         assert stats.delivered_copies > 0
         assert 1.0 <= stats.mean_delivery_latency <= 4.0
@@ -325,10 +320,9 @@ class TestEngineIntegration:
         assert stats.skipped_ticks + stats.delivered_copies > 0
         assert stats.events_processed >= stats.delivered_copies
 
-    @both_engines
-    def test_passive_adversary_and_conditions_compose(self, engine):
+    def test_passive_adversary_and_conditions_compose(self):
         n, f = 8, 2
         instance = build_quadratic_ba(n, f, [0] * n, seed=3)
         result = run_instance(instance, f, PassiveAdversary(), seed=3,
-                              conditions=NETWORKS["lan"], scheduler=engine)
+                              conditions=NETWORKS["lan"])
         assert result.consistent() and result.agreement_valid()

@@ -10,7 +10,7 @@ registry key, so a silently filtered entry fails loudly:
   adversary (the mildest Byzantine behaviour every registry entry is
   expected to survive at its supported resilience).
 - **Scheduler conformance**: one seeded conditioned execution per entry
-  under both the event and lock-step schedulers, asserting
+  on the event engine and on the lock-step test reference, asserting
   byte-identical results/stats — previously only the leader family and
   the differential five had this.
 
@@ -29,9 +29,8 @@ from repro.adversaries import CrashAdversary
 from repro.harness.runner import run_instance
 from repro.harness.scenarios import PROTOCOLS
 from repro.sim.conditions import NETWORKS
-from repro.sim.engine import SCHEDULER_EVENT, SCHEDULER_LOCKSTEP
 from repro.types import SecurityParameters
-from tests.engines import ENGINES
+from tests.engines import lockstep
 
 #: The broadcast sender every sender-style builder defaults to.
 SENDER = 0
@@ -67,18 +66,15 @@ def _build_config(key):
     return n, f, kwargs
 
 
-def _execute(key, seed, adversary=None, conditions=None, scheduler=None):
+def _execute(key, seed, adversary=None, conditions=None):
     entry = PROTOCOLS[key]
     n, f, kwargs = _build_config(key)
     if conditions is not None and (entry.early_stopping
                                    or entry.takes_conditions):
         kwargs["conditions"] = conditions
     instance = entry.builder(n=n, f=f, seed=seed, **kwargs)
-    run_kwargs = {}
-    if scheduler is not None:
-        run_kwargs["scheduler"] = scheduler
     return run_instance(instance, f, adversary, seed=seed,
-                        conditions=conditions, **run_kwargs)
+                        conditions=conditions)
 
 
 class TestRegistryProperties:
@@ -137,14 +133,13 @@ class TestRegistrySchedulerConformance:
     @pytest.mark.parametrize("key", REGISTRY_KEYS)
     def test_event_engine_matches_lockstep(self, key):
         """One seeded conditioned execution per registry entry, replayed
-        under both schedulers: byte-identical observable results."""
-        assert set(ENGINES) == {SCHEDULER_EVENT, SCHEDULER_LOCKSTEP}
+        on the event engine and on the lock-step reference:
+        byte-identical observable results."""
         conditions = NETWORKS["lan"]
-        event = _execute(key, seed=3, conditions=conditions,
-                         scheduler=SCHEDULER_EVENT)
-        lockstep = _execute(key, seed=3, conditions=conditions,
-                            scheduler=SCHEDULER_LOCKSTEP)
-        assert self._snapshot(event) == self._snapshot(lockstep), key
+        event = _execute(key, seed=3, conditions=conditions)
+        with lockstep():
+            reference = _execute(key, seed=3, conditions=conditions)
+        assert self._snapshot(event) == self._snapshot(reference), key
         # Real conditioned executions, not fast-path ones.
         assert event.network_stats is not None
         assert event.consistent(), key

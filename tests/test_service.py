@@ -4,6 +4,7 @@ submissions, warm-store replay through the API, and artifact
 byte-identity against a direct ``run_sweep``."""
 
 import json
+import sqlite3
 import threading
 
 import pytest
@@ -194,6 +195,49 @@ class TestHttpEndToEnd:
         rows = client.sweep_rows("smoke")
         assert rows["complete"] is True and len(
             rows["rows"]) == SMOKE_CELLS
+
+    def test_request_threads_share_pooled_connections(self, tmp_path,
+                                                      monkeypatch):
+        """The threaded server starts a fresh thread per request; the
+        SQLite backend must hold at most one connection per *concurrent*
+        store user, not one per thread it has ever served."""
+        opened = []
+        connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            opened.append(args)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        store = ExperimentStore(tmp_path / "corpus.sqlite")
+        server, service = make_server(store, port=0, workers=2)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = ServiceClient(
+            f"http://127.0.0.1:{server.server_address[1]}")
+        users, requests_each = 5, 12
+        barrier = threading.Barrier(users)
+        listings = []
+
+        def user():
+            barrier.wait(timeout=30)
+            for _ in range(requests_each):
+                listings.append(client.jobs())
+
+        try:
+            threads = [threading.Thread(target=user) for _ in range(users)]
+            for user_thread in threads:
+                user_thread.start()
+            for user_thread in threads:
+                user_thread.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown()
+            store.close()
+        assert listings == [[]] * (users * requests_each)
+        assert 1 <= len(opened) <= users
 
     def test_error_paths(self, served):
         client, _ = served
