@@ -29,9 +29,9 @@ from an experiment store (see ``docs/RESULTS.md``)::
 
 ``run`` — execute one protocol instance and print its result summary,
 optionally under named partial-synchrony network conditions and a
-per-link latency topology (see ``docs/NETWORK.md``); the GST-aware
-early-stopping variants (see ``docs/PROTOCOLS.md``) additionally
-report the rounds saved against their budget::
+per-link latency topology (see ``docs/NETWORK.md``); protocols that
+declare observables (see ``docs/PROTOCOLS.md``) additionally print one
+``name: value`` line each — rounds saved, views, words::
 
     python -m repro run --protocol subquadratic -n 300 -f 90 \\
         --adversary crash --input mixed --seed 7 --network wan
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.adversaries import (
     ActualFaultsAdversary,
@@ -77,51 +77,25 @@ from repro.analysis import choose_lambda
 from repro.analysis.parameters import protocol_failure_probability
 from repro.harness import run_instance
 from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.harness.scenarios import PROTOCOLS as PROTOCOL_REGISTRY
+from repro.harness.runner import builder_accepts
+from repro.harness.scenarios import (
+    PROTOCOLS as PROTOCOL_REGISTRY,
+    ProtocolEntry,
+)
 from repro.errors import ConfigurationError
 from repro.sim.conditions import NETWORKS, TOPOLOGIES
 from repro.sim.trace import summarize_transcript
 from repro.types import SecurityParameters
 
-#: ``run``-able protocols, derived from the scenario layer's registry
-#: rather than hand-maintained: every per-node builder registered there
-#: is automatically runnable here (sender-style broadcast builders need
-#: a ``sender_input`` binding and stay sweep-only).
-PROTOCOLS = {
-    key: entry.builder for key, entry in PROTOCOL_REGISTRY.items()
-    if entry.input_style == "per-node"
-}
 
-#: GST-aware variants whose builders take the execution's conditions
-#: (to derive the trusted-round gate) and whose runs report the saving —
-#: read off the registry's ``early_stopping`` flag.
-EARLY_STOP_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.early_stopping)
+def _runnable() -> Dict[str, ProtocolEntry]:
+    """``run``-able protocols, read off the scenario layer's registry at
+    call time: every builder that takes per-node inputs (sender-style
+    broadcast builders need a ``sender_input`` binding and stay
+    sweep-only)."""
+    return {key: entry for key, entry in PROTOCOL_REGISTRY.items()
+            if not builder_accepts(entry.builder, "sender_input")}
 
-#: Protocols whose builders take ``params=SecurityParameters(...)``.
-_PARAMS_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.accepts_params)
-
-#: Protocols whose builders take ``mode="fmine"|"vrf"`` — read off the
-#: registry's ``takes_mode`` flag so an explicit ``--mode`` is never
-#: silently dropped for a registry protocol that accepts it.
-_MODE_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.takes_mode)
-
-#: Builders that accept ``conditions=`` — the early-stop variants plus
-#: the view-based leader family (whose view timers derive from Δ/GST).
-_CONDITIONS_PROTOCOLS = EARLY_STOP_PROTOCOLS | frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.takes_conditions)
-
-#: View-based leader protocols: ``run`` reports the settled view and the
-#: view changes burned getting there.
-_VIEW_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.view_based)
-
-#: Adaptive protocols (words scale with the actual fault count): ``run``
-#: reports the escalation epochs and the classical word count.
-_ADAPTIVE_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.adaptive)
 
 ADVERSARIES = {
     "none": lambda instance: None,
@@ -150,7 +124,7 @@ def _epilog() -> str:
         "serve (the experiment service: sweeps over HTTP against a "
         "concurrency-safe store), "
         "submit/status (the service client), "
-        f"run (one execution; protocols: {', '.join(sorted(PROTOCOLS))}), "
+        f"run (one execution; protocols: {', '.join(sorted(_runnable()))}), "
         "params (λ selection)")
 
 
@@ -270,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="service base URL")
 
     run = sub.add_parser("run", help="run one protocol execution")
-    run.add_argument("--protocol", choices=sorted(PROTOCOLS),
+    run.add_argument("--protocol", choices=sorted(_runnable()),
                      default="subquadratic")
     run.add_argument("-n", type=int, default=200, help="number of nodes")
     run.add_argument("-f", type=int, default=None,
@@ -510,7 +484,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     n = args.n
     f = args.f if args.f is not None else int(0.25 * n)
     params = SecurityParameters(lam=args.lam, epsilon=0.1)
-    builder = PROTOCOLS[args.protocol]
+    entry = PROTOCOL_REGISTRY[args.protocol]
     conditions = NETWORKS[args.network]
     if args.topology is not None:
         import dataclasses as _dataclasses
@@ -521,15 +495,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"run: {error}", file=sys.stderr)
             return 2
     kwargs = dict(n=n, f=f, inputs=_inputs_for(args.input, n), seed=args.seed)
-    if args.protocol in _PARAMS_PROTOCOLS:
-        kwargs.update(params=params)
-    if args.protocol in _MODE_PROTOCOLS:
-        kwargs.update(mode=args.mode)
-    if args.protocol in _CONDITIONS_PROTOCOLS:
-        # The GST-aware builders gate their unanimity detectors (or view
-        # timers) on the conditions' trusted-send round.
-        kwargs.update(conditions=conditions)
-    instance = builder(**kwargs)
+    # Forward each option the builder takes, so an explicit --mode is
+    # never silently dropped; the GST-aware builders gate their
+    # unanimity detectors (or view timers) on the conditions.
+    for name, value in (("params", params), ("mode", args.mode),
+                        ("conditions", conditions)):
+        if builder_accepts(entry.builder, name):
+            kwargs[name] = value
+    instance = entry.builder(**kwargs)
     if args.adversary == "actual-faults":
         adversary = ActualFaultsAdversary(actual=args.actual)
     elif args.actual is not None:
@@ -556,19 +529,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"valid:               {result.agreement_valid()}")
     print(f"all decided:         {result.all_decided()}")
     print(f"rounds:              {result.rounds_executed}")
-    if args.protocol in EARLY_STOP_PROTOCOLS:
-        print(f"rounds saved:        {result.rounds_saved} "
-              f"(budget {result.rounds_budget})")
-    if args.protocol in _VIEW_PROTOCOLS:
-        from repro.protocols.leader_ba import decision_view_of
-        settled = decision_view_of(result)
-        print(f"settled view:        {settled} "
-              f"({settled - 1} view change(s))")
-    if args.protocol in _ADAPTIVE_PROTOCOLS:
-        from repro.protocols.adaptive_ba import escalations_of, words_of
-        print(f"escalations:         {escalations_of(result)} "
-              f"(actual faults {result.corruptions_used}, "
-              f"{words_of(result)} words)")
+    for name, extract in entry.observables.items():
+        print(f"{name + ':':21}{extract(result)}")
     print(f"corruptions used:    {result.corruptions_used}")
     print(f"honest multicasts:   "
           f"{result.metrics.multicast_complexity_messages}")

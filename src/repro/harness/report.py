@@ -142,68 +142,55 @@ def _sweep_delta(current: Dict[str, Any],
     return {"added": added, "removed": removed, "changed": changed}
 
 
-def _leader_comparison_rows(
-        rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The ``leader-vs-quadratic`` words-vs-n digest: per system size,
-    the leader family's words per decision next to quadratic BA's and
-    the Dolev-Reischuk counting attack's Ω(f²) message floor."""
-    by_n: Dict[Any, Dict[str, Any]] = {}
-    for row in rows:
-        n = row.get("n")
-        if n is None:
-            continue
-        slot = by_n.setdefault(n, {})
-        if row.get("scenario") == "leader-ba":
-            slot["leader_words"] = row.get("mean_multicast_bits")
-            slot["leader_views"] = row.get("mean_views_executed")
-        elif row.get("scenario") == "quadratic":
-            slot["quadratic_words"] = row.get("mean_multicast_bits")
-        elif row.get("executor") == "dolev-reischuk":
-            slot["dolev_reischuk_floor_msgs"] = row.get("message_budget")
-    return [{"n": n, **slot}
-            for n, slot in sorted(by_n.items()) if len(slot) > 1]
+#: Sweeps whose book section adds a words-per-scenario pivot: the row
+#: column the pivot is keyed by, and the sentence introducing it.
+_WORDS_PIVOTS = {
+    "leader-vs-quadratic": (
+        "n",
+        "Words per decision versus n — the leader family's happy path "
+        "against quadratic BA, with the Dolev-Reischuk counting "
+        "attack's Ω(f²) message floor at the same sizes:"),
+    "words-vs-actual-f": (
+        "adversary_actual",
+        "Total words versus the actual fault count f* — the adaptive "
+        "family's O((f*+1)n) escalation curve against the non-adaptive "
+        "baselines at the same (n, f), over the Dolev-Reischuk counting "
+        "attack's Ω(f²) message floor:"),
+}
 
 
-def _adaptive_comparison_rows(
-        rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """The ``words-vs-actual-f`` digest: per actual fault count f*, the
-    adaptive family's total words (and escalation epochs) next to the
-    non-adaptive baselines' words at the same ``(n, f)`` and the
-    Dolev-Reischuk counting attack's Ω(f²) message floor.
+def _words_pivot(rows: List[Dict[str, Any]],
+                 key: str) -> List[Dict[str, Any]]:
+    """Per value of the ``key`` column, each protocol scenario's mean
+    classical words (Definition 6) next to the Dolev-Reischuk counting
+    attack's Ω(f²) message floor — the attack row at the same key, or
+    the sweep's single attack row when it has no ``key`` column.
 
-    The baselines are multicast-only protocols, so their classical word
-    count is ``mean_multicasts * (n - 1)`` (Definition 6); the adaptive
-    rows carry their own ``mean_words`` column because the fast path is
-    built from unicasts the multicast columns do not see.
+    A row's words are its ``mean_words`` observable when the protocol
+    reports one (the adaptive family's fast path is built from unicasts
+    the multicast columns do not see), else ``mean_multicasts * (n -
+    1)``: every other compared protocol sends only multicasts, and a
+    multicast is ``n - 1`` pairwise words.
     """
-    by_k: Dict[Any, Dict[str, Any]] = {}
-    floor_msgs: Any = None
+    words: Dict[Any, Dict[str, Any]] = {}
+    floors: Dict[Any, Any] = {}
     for row in rows:
+        value = row.get(key)
         if row.get("executor") == "dolev-reischuk":
-            floor_msgs = row.get("message_budget")
+            floors[value] = row.get("message_budget")
             continue
-        k = row.get("adversary_actual")
         n = row.get("n")
-        if k is None or n is None:
+        multicasts = row.get("mean_multicasts")
+        if value is None or n is None or multicasts is None:
             continue
-        slot = by_k.setdefault(k, {})
-        scenario = row.get("scenario")
-        if scenario == "adaptive-ba":
-            slot["adaptive_words"] = row.get("mean_words")
-            slot["escalations"] = row.get("mean_escalations")
-        elif scenario == "quadratic":
-            multicasts = row.get("mean_multicasts")
-            if multicasts is not None:
-                slot["quadratic_words"] = multicasts * (n - 1)
-        elif scenario == "leader-ba":
-            multicasts = row.get("mean_multicasts")
-            if multicasts is not None:
-                slot["leader_words"] = multicasts * (n - 1)
-    digest = [{"actual_faults": k, **slot}
-              for k, slot in sorted(by_k.items()) if len(slot) > 1]
-    if floor_msgs is not None:
-        for row in digest:
-            row["dolev_reischuk_floor_msgs"] = floor_msgs
+        words.setdefault(value, {})[row["scenario"]] = row.get(
+            "mean_words", multicasts * (n - 1))
+    digest = []
+    for value, slot in sorted(words.items()):
+        floor = floors.get(value, floors.get(None))
+        if floor is not None:
+            slot["dolev_reischuk_floor_msgs"] = floor
+        digest.append({key: value, **slot})
     return digest
 
 
@@ -300,35 +287,16 @@ def render_book(store: ExperimentStore,
         lines.append("```text")
         lines.append(table.render())
         lines.append("```")
-        if name == "leader-vs-quadratic":
-            comparison = _leader_comparison_rows(rows)
-            if comparison:
+        if name in _WORDS_PIVOTS:
+            key, lead_in = _WORDS_PIVOTS[name]
+            pivot = _words_pivot(rows, key)
+            if pivot:
                 lines.append("")
-                lines.append("Words per decision versus n — the leader "
-                             "family's happy path against quadratic BA, "
-                             "with the Dolev-Reischuk counting attack's "
-                             "Ω(f²) message floor at the same sizes:")
+                lines.append(lead_in)
                 lines.append("")
                 lines.append("```text")
                 lines.append(rows_to_table(
-                    "words-vs-n vs the Dolev-Reischuk line",
-                    comparison).render())
-                lines.append("```")
-        if name == "words-vs-actual-f":
-            comparison = _adaptive_comparison_rows(rows)
-            if comparison:
-                lines.append("")
-                lines.append("Total words versus the actual fault count "
-                             "f* — the adaptive family's O((f*+1)n) "
-                             "escalation curve against the non-adaptive "
-                             "baselines at the same (n, f), over the "
-                             "Dolev-Reischuk counting attack's Ω(f²) "
-                             "message floor:")
-                lines.append("")
-                lines.append("```text")
-                lines.append(rows_to_table(
-                    "words-vs-actual-f vs the baselines",
-                    comparison).render())
+                    f"words per scenario vs {key}", pivot).render())
                 lines.append("```")
 
     if baseline is not None:

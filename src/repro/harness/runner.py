@@ -9,7 +9,8 @@ security predicates into a :class:`TrialStats`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+import inspect
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.protocols.base import ProtocolInstance
 from repro.sim.adversary import Adversary
@@ -20,6 +21,17 @@ from repro.types import AdversaryModel
 
 #: Builds an adversary for a freshly constructed protocol instance.
 AdversaryFactory = Callable[[ProtocolInstance], Adversary]
+
+
+def builder_accepts(builder: Callable[..., Any], name: str) -> bool:
+    """Whether ``builder`` takes a ``name`` keyword argument.
+
+    The harness reads a builder's capabilities off its signature —
+    ``sender_input`` (sender-style broadcast), ``params``,
+    ``coin_cache`` (the shared eligibility lottery), ``mode`` and
+    ``conditions`` — instead of keeping a flag per protocol.
+    """
+    return name in inspect.signature(builder).parameters
 
 
 def run_instance(
@@ -69,7 +81,6 @@ class TrialStats:
         self._multicast_bits = 0
         self._rounds = 0
         self._corruptions = 0
-        self._rounds_saved = 0
         self._max_message_bits = 0
         self._network_trials = 0
         self._network = NetworkStats()
@@ -93,7 +104,6 @@ class TrialStats:
         self._multicast_bits += result.metrics.multicast_complexity_bits
         self._rounds += result.rounds_executed
         self._corruptions += result.corruptions_used
-        self._rounds_saved += result.rounds_saved
         self._max_message_bits = max(self._max_message_bits,
                                      result.metrics.max_message_bits)
         network = result.network_stats
@@ -136,13 +146,6 @@ class TrialStats:
     @property
     def mean_corruptions(self) -> float:
         return self._corruptions / self.trials if self._results else 0.0
-
-    @property
-    def mean_rounds_saved(self) -> float:
-        """Mean protocol rounds finished under the round budget — the
-        payoff axis of the early-stopping variants (0.0 for protocols
-        that always run their full budget)."""
-        return self._rounds_saved / self.trials if self._results else 0.0
 
     @property
     def max_message_bits(self) -> int:
@@ -208,12 +211,9 @@ def _run_one_trial(
     transcript_retention: str,
     conditions: Optional[NetworkConditions],
     builder_kwargs: dict,
-    builder_takes_conditions: bool = False,
 ) -> ExecutionResult:
     """One seed's build-and-run; module-level so worker processes can
     receive it by pickle."""
-    if builder_takes_conditions:
-        builder_kwargs = dict(builder_kwargs, conditions=conditions)
     instance = builder(f=f, seed=seed, **builder_kwargs)
     adversary = (adversary_factory(instance)
                  if adversary_factory is not None else None)
@@ -231,7 +231,6 @@ def run_trials(
     workers: int = 1,
     transcript_retention: str = TRANSCRIPT_FULL,
     conditions: Optional[NetworkConditions] = None,
-    builder_takes_conditions: bool = False,
     pool=None,
     **builder_kwargs,
 ) -> TrialStats:
@@ -239,11 +238,10 @@ def run_trials(
 
     The builder receives ``seed=<seed>`` plus ``builder_kwargs``; the
     adversary factory (if any) is invoked on each fresh instance, so
-    attacks can read the instance's services.
-    ``builder_takes_conditions`` forwards ``conditions`` to the builder
-    as well — for the GST-aware early-stopping builders, which derive
-    their trusted-round gate from the same conditions the engine runs
-    under.
+    attacks can read the instance's services.  A builder that takes
+    ``conditions`` receives them as well — the GST-aware builders derive
+    their trusted-round gates and view timers from the same conditions
+    the engine runs under.
 
     ``workers > 1`` fans the seeds across a ``ProcessPoolExecutor``.
     Results are aggregated in seed order regardless of which worker
@@ -261,6 +259,8 @@ def run_trials(
     """
     stats = TrialStats()
     seeds = list(seeds)
+    if builder_accepts(builder, "conditions"):
+        builder_kwargs["conditions"] = conditions
     if pool is None and workers > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -268,8 +268,7 @@ def run_trials(
             futures = [
                 owned.submit(_run_one_trial, builder, f, seed,
                              adversary_factory, model, transcript_retention,
-                             conditions, builder_kwargs,
-                             builder_takes_conditions)
+                             conditions, builder_kwargs)
                 for seed in seeds
             ]
             for future in futures:
@@ -284,7 +283,7 @@ def run_trials(
         futures = [
             pool.submit(_run_one_trial, builder, f, seed,
                         adversary_factory, model, transcript_retention,
-                        conditions, builder_kwargs, builder_takes_conditions)
+                        conditions, builder_kwargs)
             for seed in seeds
         ]
         for future in futures:
@@ -293,6 +292,5 @@ def run_trials(
         for seed in seeds:
             stats.add(_run_one_trial(builder, f, seed, adversary_factory,
                                      model, transcript_retention,
-                                     conditions, builder_kwargs,
-                                     builder_takes_conditions))
+                                     conditions, builder_kwargs))
     return stats

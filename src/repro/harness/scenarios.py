@@ -84,7 +84,12 @@ from repro.adversaries import (
 )
 from repro.eligibility.lottery_cache import SharedLotteryCache, release_cache
 from repro.errors import ConfigurationError
-from repro.harness.runner import TrialStats, run_instance, run_trials
+from repro.harness.runner import (
+    TrialStats,
+    builder_accepts,
+    run_instance,
+    run_trials,
+)
 from repro.harness.tables import Table, rows_to_table, union_columns
 from repro.sim.conditions import (
     NETWORKS,
@@ -93,6 +98,7 @@ from repro.sim.conditions import (
     NetworkConditions,
 )
 from repro.protocols import (
+    adaptive_ba,
     build_adaptive_ba,
     build_broadcast_from_ba,
     build_dolev_strong,
@@ -107,6 +113,8 @@ from repro.protocols import (
     build_round_eligibility,
     build_static_committee,
     build_subquadratic_ba,
+    early_stopping,
+    leader_ba,
 )
 from repro.types import SecurityParameters
 
@@ -117,70 +125,39 @@ from repro.types import SecurityParameters
 
 @dataclass(frozen=True)
 class ProtocolEntry:
-    """Registry metadata the binding layer needs about one builder."""
+    """One registered builder and the per-execution values it reports.
+
+    What the binding layer needs to know about the builder itself (its
+    input style, whether it takes ``params``, ``coin_cache``, ``mode``
+    or ``conditions``) is read off its signature by
+    :func:`~repro.harness.runner.builder_accepts`.
+    """
 
     builder: Callable[..., Any]
-    #: "per-node" (builder takes ``inputs=[bit]*n``) or "sender"
-    #: (builder takes ``sender_input=bit`` from the bindings).
-    input_style: str = "per-node"
-    #: Whether the builder accepts ``params=SecurityParameters(...)``
-    #: (so ``lam``/``epsilon`` axes can be folded into one).
-    accepts_params: bool = False
-    #: Whether the builder accepts ``coin_cache=`` for the shared
-    #: eligibility lottery (fmine mode only).
-    shares_lottery: bool = False
-    #: Whether the builder accepts ``mode="fmine"|"vrf"`` (the
-    #: eligibility worlds) — consulted by the CLI so an explicit
-    #: ``--mode`` is never silently dropped.
-    takes_mode: bool = False
-    #: GST-aware early-stopping variants: the builder accepts
-    #: ``conditions=`` (to derive its trusted-round gate from the cell's
-    #: network conditions) and the cell's artifact row gains a
-    #: ``mean_rounds_saved`` column.
-    early_stopping: bool = False
-    #: The builder accepts ``conditions=`` without being an
-    #: early-stopping variant (the leader family derives its view-timer
-    #: budget and decide-announcement drain gate from Δ/GST).
-    takes_conditions: bool = False
-    #: View-based leader protocols: the cell's artifact row gains
-    #: ``mean_views_executed`` / ``mean_view_changes`` columns derived
-    #: from the per-trial settled view (see STORE_SALT in store.py —
-    #: bumped when these columns landed).
-    view_based: bool = False
-    #: Adaptive protocols (words scale with the actual fault count):
-    #: the cell's artifact row gains ``mean_words`` /
-    #: ``mean_actual_faults`` / ``mean_escalations`` columns (the v4
-    #: STORE_SALT bump).
-    adaptive: bool = False
+    #: ``name -> extractor`` over one execution result, exported by the
+    #: protocol module: each name becomes a ``mean_<name>`` artifact
+    #: column (0.0 for a cell with no trials) and a ``repro run`` line.
+    observables: Mapping[str, Callable[[Any], float]] = field(
+        default_factory=dict)
 
 
 PROTOCOLS: Dict[str, ProtocolEntry] = {
-    "subquadratic": ProtocolEntry(
-        build_subquadratic_ba, accepts_params=True, shares_lottery=True,
-        takes_mode=True),
+    "subquadratic": ProtocolEntry(build_subquadratic_ba),
     "quadratic": ProtocolEntry(build_quadratic_ba),
     "quadratic-early-stop": ProtocolEntry(
-        build_quadratic_ba_early_stop, early_stopping=True),
-    "leader-ba": ProtocolEntry(
-        build_leader_ba, takes_conditions=True, view_based=True),
-    "leader-chain": ProtocolEntry(
-        build_leader_chain, takes_conditions=True, view_based=True),
-    "adaptive-ba": ProtocolEntry(
-        build_adaptive_ba, takes_conditions=True, adaptive=True),
+        build_quadratic_ba_early_stop, early_stopping.OBSERVABLES),
+    "leader-ba": ProtocolEntry(build_leader_ba, leader_ba.OBSERVABLES),
+    "leader-chain": ProtocolEntry(build_leader_chain, leader_ba.OBSERVABLES),
+    "adaptive-ba": ProtocolEntry(build_adaptive_ba, adaptive_ba.OBSERVABLES),
     "phase-king": ProtocolEntry(build_phase_king),
     "phase-king-early-stop": ProtocolEntry(
-        build_phase_king_early_stop, early_stopping=True),
-    "phase-king-subquadratic": ProtocolEntry(
-        build_phase_king_subquadratic, accepts_params=True,
-        shares_lottery=True, takes_mode=True),
+        build_phase_king_early_stop, early_stopping.OBSERVABLES),
+    "phase-king-subquadratic": ProtocolEntry(build_phase_king_subquadratic),
     "static-committee": ProtocolEntry(build_static_committee),
-    "round-eligibility": ProtocolEntry(
-        build_round_eligibility, accepts_params=True, takes_mode=True),
-    "dolev-strong": ProtocolEntry(build_dolev_strong, input_style="sender"),
-    "naive-broadcast": ProtocolEntry(
-        build_naive_broadcast, input_style="sender"),
-    "broadcast-from-ba": ProtocolEntry(
-        build_broadcast_from_ba, input_style="sender"),
+    "round-eligibility": ProtocolEntry(build_round_eligibility),
+    "dolev-strong": ProtocolEntry(build_dolev_strong),
+    "naive-broadcast": ProtocolEntry(build_naive_broadcast),
+    "broadcast-from-ba": ProtocolEntry(build_broadcast_from_ba),
 }
 
 
@@ -520,8 +497,9 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: both a pre-built params binding "
                 "and lam/epsilon given — the latter would be ignored")
-        if (lam is not None and entry is not None
-                and not entry.accepts_params):
+        takes_params = (entry is None
+                        or builder_accepts(entry.builder, "params"))
+        if lam is not None and not takes_params:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: protocol {spec.protocol!r} does "
                 "not accept params; the lam binding would be ignored")
@@ -529,12 +507,13 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: epsilon requires a lam binding "
                 "to fold into SecurityParameters")
-        if lam is not None and (entry is None or entry.accepts_params):
+        if lam is not None and takes_params:
             params_kwargs: Dict[str, Any] = {"lam": lam}
             if epsilon is not None:
                 params_kwargs["epsilon"] = epsilon
             kwargs["params"] = SecurityParameters(**params_kwargs)
-    if entry is not None and entry.input_style == "per-node":
+    if entry is not None and not builder_accepts(entry.builder,
+                                                 "sender_input"):
         if "inputs" not in kwargs:
             kwargs["inputs"] = INPUTS[inputs_key or "mixed"](n)
 
@@ -615,9 +594,8 @@ def _is_scalar(value: Any) -> bool:
 
 
 def _stats_metrics(stats: TrialStats,
-                   early_stopping: bool = False,
-                   view_based: bool = False,
-                   adaptive: bool = False) -> Dict[str, Any]:
+                   observables: Mapping[str, Callable[[Any], float]],
+                   ) -> Dict[str, Any]:
     metrics = {
         "trials": stats.trials,
         "consistency_rate": stats.consistency_rate,
@@ -642,41 +620,14 @@ def _stats_metrics(stats: TrialStats,
         # artifacts stay byte-identical to the recorded goldens.
         metrics["skipped_ticks"] = stats.skipped_ticks
         metrics["events_processed"] = stats.events_processed
-    # Likewise the rounds-saved column appears only for the early-stop
-    # protocol variants, whose whole point it measures.
-    if early_stopping:
-        metrics["mean_rounds_saved"] = stats.mean_rounds_saved
-    # And the view-accounting columns only for the leader family (these
-    # additions are what bumped STORE_SALT to v3).
-    if view_based:
-        from repro.protocols.leader_ba import decision_view_of
-        views = [decision_view_of(result) for result in stats.results]
-        trials = len(views)
-        metrics["mean_views_executed"] = (
-            sum(views) / trials if trials else 0.0)
-        metrics["mean_view_changes"] = (
-            sum(view - 1 for view in views) / trials if trials else 0.0)
-    # And the words/fault-count accounting only for the adaptive family,
-    # whose claim is words = O((f* + 1) n) (the v4 STORE_SALT bump).
-    # ``mean_words`` is the classical word count (Definition 6) — the
-    # fast path is built from unicasts the multicast columns do not see.
-    if adaptive:
-        from repro.protocols.adaptive_ba import (
-            actual_faults_of,
-            escalations_of,
-            words_of,
-        )
-        results = stats.results
-        trials = len(results)
-        metrics["mean_words"] = (
-            sum(words_of(result) for result in results) / trials
-            if trials else 0.0)
-        metrics["mean_actual_faults"] = (
-            sum(actual_faults_of(result) for result in results) / trials
-            if trials else 0.0)
-        metrics["mean_escalations"] = (
-            sum(escalations_of(result) for result in results) / trials
-            if trials else 0.0)
+    # The protocol's own observables, named from the registry rather
+    # than from the results, so a cell with no trials still emits every
+    # column.
+    results = stats.results
+    for name, extract in observables.items():
+        metrics[f"mean_{name}"] = (
+            sum(extract(result) for result in results) / len(results)
+            if results else 0.0)
     return metrics
 
 
@@ -694,7 +645,8 @@ def _cell_trial_kwargs(cell: Cell,
                        ) -> Dict[str, Any]:
     entry = PROTOCOLS[cell.protocol]
     kwargs = cell.builder_kwargs()
-    if (coin_cache is not None and entry.shares_lottery
+    if (coin_cache is not None
+            and builder_accepts(entry.builder, "coin_cache")
             and kwargs.get("mode", "fmine") == "fmine"
             and "eligibility" not in kwargs):
         kwargs["coin_cache"] = coin_cache
@@ -719,13 +671,10 @@ def _execute_trials(cell: Cell, workers: int,
         adversary_factory=_adversary_factory(cell),
         workers=workers,
         conditions=cell.network,
-        builder_takes_conditions=entry.early_stopping or entry.takes_conditions,
         pool=pool,
         **_cell_trial_kwargs(cell, coin_cache),
     )
-    return stats, _stats_metrics(stats, early_stopping=entry.early_stopping,
-                                 view_based=entry.view_based,
-                                 adaptive=entry.adaptive)
+    return stats, _stats_metrics(stats, entry.observables)
 
 
 def _execute_per_seed(cell: Cell, workers: int,
@@ -740,7 +689,7 @@ def _execute_per_seed(cell: Cell, workers: int,
     """
     entry = PROTOCOLS[cell.protocol]
     kwargs = _cell_trial_kwargs(cell, coin_cache)
-    if entry.early_stopping or entry.takes_conditions:
+    if builder_accepts(entry.builder, "conditions"):
         kwargs["conditions"] = cell.network
     factory = _adversary_factory(cell)
     records: List[Tuple[Any, Any]] = []
@@ -752,9 +701,7 @@ def _execute_per_seed(cell: Cell, workers: int,
                               conditions=cell.network)
         records.append((result, adversary))
         stats.add(result)
-    return records, _stats_metrics(stats, early_stopping=entry.early_stopping,
-                                   view_based=entry.view_based,
-                                   adaptive=entry.adaptive)
+    return records, _stats_metrics(stats, entry.observables)
 
 
 def _attack_kwargs(cell: Cell) -> Dict[str, Any]:

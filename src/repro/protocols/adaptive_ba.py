@@ -210,6 +210,15 @@ def words_of(result: Any) -> int:
     return result.metrics.classical_message_count
 
 
+#: What the harness reports for the adaptive family: each name becomes a
+#: ``mean_<name>`` artifact column and a ``repro run`` output line.
+OBSERVABLES = {
+    "words": words_of,
+    "actual_faults": actual_faults_of,
+    "escalations": escalations_of,
+}
+
+
 # ---------------------------------------------------------------------------
 # Messages.  Reports are plain SignedVote payloads (the certificate
 # machinery's native format); everything else is epoch-tagged.

@@ -13,8 +13,8 @@ These builders produce variants that close it here: nodes watch for a
 *certified round* — an iteration or epoch whose authenticated messages
 are unanimous across all ``n`` nodes — and terminate the moment one is
 observed, exposing the payoff as ``rounds_saved`` on
-:class:`~repro.sim.result.ExecutionResult` and
-:class:`~repro.harness.runner.TrialStats`.
+:class:`~repro.sim.result.ExecutionResult` (declared in
+:data:`OBSERVABLES`, so sweep rows gain ``mean_rounds_saved``).
 
 The "GST-aware" part is what keeps the detectors sound under partial
 synchrony: a unanimous-looking round observed while the network may
@@ -35,6 +35,7 @@ See ``docs/PROTOCOLS.md`` for the per-protocol safety arguments.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 from repro.crypto.groups import SchnorrGroup, TEST_GROUP
@@ -51,10 +52,15 @@ from repro.sim.leader import LeaderOracle
 from repro.types import Bit, Round
 
 __all__ = [
+    "OBSERVABLES",
     "build_phase_king_early_stop",
     "build_quadratic_ba_early_stop",
     "trusted_send_round_for",
 ]
+
+#: What the harness reports for the early-stop variants: each name
+#: becomes a ``mean_<name>`` artifact column and a ``repro run`` line.
+OBSERVABLES = {"rounds_saved": operator.attrgetter("rounds_saved")}
 
 
 def trusted_send_round_for(conditions: Optional[NetworkConditions]) -> Round:

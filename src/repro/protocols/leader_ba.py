@@ -172,8 +172,7 @@ def decision_view_of(result: Any) -> int:
 
     The last honest decision round's view when every honest node
     decided; otherwise the view of the last executed round (the
-    exhausted budget).  ``view_changes`` artifact columns report this
-    minus one — the views that ended without settling the execution.
+    exhausted budget).
     """
     rounds = result.decision_rounds()
     if rounds and result.all_decided():
@@ -188,6 +187,19 @@ def decision_view_of(result: Any) -> int:
         # those as a view of their own.
         settled = min(settled, (budget - 2) // VIEW_ROUNDS)
     return settled
+
+
+def view_changes_of(result: Any) -> int:
+    """Views that ended without settling the execution."""
+    return decision_view_of(result) - 1
+
+
+#: What the harness reports for the leader family: each name becomes a
+#: ``mean_<name>`` artifact column and a ``repro run`` output line.
+OBSERVABLES = {
+    "views_executed": decision_view_of,
+    "view_changes": view_changes_of,
+}
 
 
 # ---------------------------------------------------------------------------

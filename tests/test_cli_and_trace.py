@@ -101,14 +101,14 @@ class TestRegistryParity:
     sweeps/protocols can never be silently missing from them again."""
 
     def test_epilog_names_every_sweep_and_runnable_protocol(self):
-        from repro.cli import PROTOCOLS, _epilog
+        from repro.cli import _epilog, _runnable
         from repro.harness.experiments import ALL_EXPERIMENTS
         from repro.harness.sweep_library import SWEEPS
 
         epilog = _epilog()
         for name in SWEEPS:
             assert name in epilog, f"sweep {name} missing from epilog"
-        for name in PROTOCOLS:
+        for name in _runnable():
             assert name in epilog, f"protocol {name} missing from epilog"
         last = max(int(name[1:]) for name in ALL_EXPERIMENTS)
         assert f"E1..E{last}" in epilog
@@ -122,27 +122,41 @@ class TestRegistryParity:
         assert [line.split()[0] for line in lines] == sorted(SWEEPS)
 
     def test_run_protocols_derived_from_scenario_registry(self):
-        from repro.cli import EARLY_STOP_PROTOCOLS, PROTOCOLS
+        # Every registry builder taking per-node inputs is runnable; the
+        # sender-style broadcast builders stay sweep-only.
+        from repro.cli import _runnable
         from repro.harness.scenarios import PROTOCOLS as REGISTRY
 
-        assert set(PROTOCOLS) == {
-            key for key, entry in REGISTRY.items()
-            if entry.input_style == "per-node"}
-        for key, builder in PROTOCOLS.items():
-            assert builder is REGISTRY[key].builder
-        assert EARLY_STOP_PROTOCOLS == {
-            key for key, entry in REGISTRY.items() if entry.early_stopping}
+        assert set(REGISTRY) - set(_runnable()) == {
+            "dolev-strong", "naive-broadcast", "broadcast-from-ba"}
+        for key, entry in _runnable().items():
+            assert entry is REGISTRY[key]
 
-    def test_mode_flag_reaches_every_mode_taking_protocol(self):
+    def test_mode_flag_reaches_every_mode_taking_protocol(self, monkeypatch):
         # --mode must never be silently dropped: the CLI forwards it to
-        # exactly the registry protocols flagged takes_mode (including
+        # exactly the builders whose signature takes ``mode`` (including
         # round-eligibility, which takes mode but shares no lottery).
-        from repro.cli import _MODE_PROTOCOLS
+        import dataclasses
+
+        from repro.cli import _runnable
         from repro.harness.scenarios import PROTOCOLS as REGISTRY
 
-        assert _MODE_PROTOCOLS == {
-            key for key, entry in REGISTRY.items() if entry.takes_mode}
-        assert "round-eligibility" in _MODE_PROTOCOLS
+        class Built(Exception):
+            pass
+
+        forwarded = {}
+        for key, entry in _runnable().items():
+            def record(*args, _key=key, **kwargs):
+                forwarded[_key] = kwargs
+                raise Built
+            record.__wrapped__ = entry.builder  # keeps the signature
+            monkeypatch.setitem(
+                REGISTRY, key, dataclasses.replace(entry, builder=record))
+            with pytest.raises(Built):
+                main(["run", "--protocol", key, "-n", "7", "--mode", "vrf"])
+        assert {key for key, kwargs in forwarded.items()
+                if kwargs.get("mode") == "vrf"} == {
+            "subquadratic", "phase-king-subquadratic", "round-eligibility"}
 
     def test_run_round_eligibility_vrf_mode(self, capsys):
         code = main(["run", "--protocol", "round-eligibility", "-n", "13",

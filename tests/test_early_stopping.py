@@ -106,11 +106,10 @@ class TestPhaseKingEarlyStop:
         stats = run_trials(
             build_phase_king_early_stop, f=f, seeds=range(3),
             adversary_factory=lambda instance: CrashAdversary(),
-            conditions=NETWORKS["perfect"], builder_takes_conditions=True,
-            n=n, inputs=[1] * n)
+            conditions=NETWORKS["perfect"], n=n, inputs=[1] * n)
         assert stats.consistency_rate == 1.0
         assert stats.validity_rate == 1.0
-        assert stats.mean_rounds_saved == 0.0
+        assert all(result.rounds_saved == 0 for result in stats.results)
         assert stats.mean_rounds == phase_king_rounds(20)
 
     def test_half_unanimity_staggers_stops_but_agreement_holds(self):

@@ -14,8 +14,8 @@ registry key, so a silently filtered entry fails loudly:
   byte-identical results/stats — previously only the leader family and
   the differential five had this.
 
-Build configurations are derived from the registry flags (input style,
-``accepts_params``, conditions support) and the builder signature — not
+Build configurations are derived from the builder signature (input
+style, ``params``, ``conditions``, a required ``ba_builder``) — not
 from per-protocol knowledge — so registering a protocol is all it takes
 to be covered.
 """
@@ -26,7 +26,7 @@ import inspect
 import pytest
 
 from repro.adversaries import CrashAdversary
-from repro.harness.runner import run_instance
+from repro.harness.runner import builder_accepts, run_instance
 from repro.harness.scenarios import PROTOCOLS
 from repro.sim.conditions import NETWORKS
 from repro.types import SecurityParameters
@@ -41,19 +41,19 @@ REGISTRY_KEYS = tuple(sorted(PROTOCOLS))
 def _build_config(key):
     """Derive ``(n, f, builder_kwargs)`` from the registry entry alone.
 
-    Committee-sampling protocols (``accepts_params``) need a larger
+    Committee-sampling protocols (builders taking ``params``) need a larger
     system for their Chernoff-bounded committees to be honest-majority
     at the test seeds; everything else runs at the smallest
     ``n > 3f`` system with headroom.
     """
     entry = PROTOCOLS[key]
     kwargs = {}
-    if entry.accepts_params:
+    if builder_accepts(entry.builder, "params"):
         n, f = 32, 8
         kwargs["params"] = SecurityParameters(lam=12)
     else:
         n, f = 10, 3
-    if entry.input_style == "sender":
+    if builder_accepts(entry.builder, "sender_input"):
         kwargs["sender_input"] = 1
     else:
         kwargs["inputs"] = [i % 2 for i in range(n)]
@@ -69,8 +69,8 @@ def _build_config(key):
 def _execute(key, seed, adversary=None, conditions=None):
     entry = PROTOCOLS[key]
     n, f, kwargs = _build_config(key)
-    if conditions is not None and (entry.early_stopping
-                                   or entry.takes_conditions):
+    if conditions is not None and builder_accepts(entry.builder,
+                                                  "conditions"):
         kwargs["conditions"] = conditions
     instance = entry.builder(n=n, f=f, seed=seed, **kwargs)
     return run_instance(instance, f, adversary, seed=seed,
@@ -93,7 +93,7 @@ class TestRegistryProperties:
         assert result.consistent(), key
         assert result.agreement_valid(), key
         assert result.rounds_executed <= result.rounds_budget, key
-        if entry.input_style == "sender":
+        if builder_accepts(entry.builder, "sender_input"):
             # Honest-sender validity: everyone outputs the broadcast.
             assert result.broadcast_valid(SENDER, 1), key
 

@@ -2,16 +2,19 @@
 tables match live sweep tables, snapshot/baseline deltas, presentation
 order, and the HTML rendering."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.harness.report import (
+    _words_pivot,
     build_snapshot,
     render_book,
     write_book,
 )
 from repro.harness.scenarios import ScenarioSpec, SweepSpec, run_sweep
+from repro.harness.sweep_library import SWEEPS
 from repro.harness.store import ExperimentStore
 
 from tests.test_store import tiny_sweep
@@ -64,6 +67,49 @@ class TestBook:
         run_sweep(SWEEPS["smoke"], store=store)
         _, snapshot = render_book(store)
         assert list(snapshot["sweeps"]) == ["smoke", "aaa-custom"]
+
+
+class TestWordsPivot:
+    """The book's words-per-scenario pivots count Definition 6 classical
+    words for every scenario, beside the Dolev-Reischuk message floor."""
+
+    @staticmethod
+    def _library_slice(name, axis, value):
+        """The library sweep with every ``axis`` grid cut to ``value``."""
+        spec = SWEEPS[name]
+        return dataclasses.replace(spec, scenarios=tuple(
+            dataclasses.replace(scenario, grid={axis: (value,)})
+            if axis in scenario.grid else scenario
+            for scenario in spec.scenarios))
+
+    def test_leader_vs_quadratic_counts_words_not_bits(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        rows = run_sweep(self._library_slice("leader-vs-quadratic", "n", 16),
+                         store=store).rows()
+        n = 16
+        assert _words_pivot(rows, "n") == [{
+            "n": n,
+            "leader-ba": 65 * (n - 1),    # 975 words, not 150,904 bits
+            "quadratic": 81 * (n - 1),    # 1215
+            "dolev_reischuk_floor_msgs": 4,
+        }]
+        book, _snapshot = render_book(store)
+        assert "words per scenario vs n" in book
+
+    def test_words_vs_actual_f_fault_free_row(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        rows = run_sweep(
+            self._library_slice("words-vs-actual-f", "adversary_actual", 0),
+            store=store).rows()
+        n = 25
+        (row,) = _words_pivot(rows, "adversary_actual")
+        assert row["adversary_actual"] == 0
+        assert row["adaptive-ba"] == 4 * (n - 1) == 96
+        assert row["quadratic"] == 75 * (n - 1) == 1800
+        # The attack row has no f* axis, so its floor heads every row.
+        assert row["dolev_reischuk_floor_msgs"] == 16
+        book, _snapshot = render_book(store)
+        assert "words per scenario vs adversary_actual" in book
 
 
 class TestDuplicateFingerprints:
