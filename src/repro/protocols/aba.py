@@ -31,7 +31,8 @@ At any time, a quorum of iteration-``r`` commits for ``b`` (or a valid
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.protocols.base import Authenticator, ProposerPolicy
 from repro.protocols.certificates import (
@@ -39,6 +40,7 @@ from repro.protocols.certificates import (
     certificate_from_votes,
     rank,
 )
+from repro.protocols import verification
 from repro.protocols.verification import CACHE_LIMIT, VerificationCache
 from repro.protocols.messages import (
     CommitMsg,
@@ -49,6 +51,7 @@ from repro.protocols.messages import (
     VoteMsg,
 )
 from repro.serialization import _intern_field_key, intern_by_key, intern_payload
+from repro.sim.network import RoundInboxes
 from repro.sim.node import Node, RoundContext
 from repro.types import Bit, NodeId, Round, other_bit
 
@@ -112,6 +115,29 @@ class AbaConfig:
     #: First protocol round whose sends provably reach every honest node
     #: (``NetworkConditions.trusted_send_round``; 0 under lock-step).
     trusted_send_round: Round = 0
+
+
+class _RoundTally:
+    """The recipient-independent part of absorbing one plain round.
+
+    Built once per round and protocol instance from the round's
+    deliveries in send order (see :meth:`AbaNode._build_tally`):
+
+    - ``groups``: ``(iteration, bit) -> {sender: auth}`` for votes or
+      ``{sender: CommitMsg}`` for commits, insertion-ordered by send order;
+    - ``certificates``: ``bit -> (certificate, channel sender)`` for the
+      first highest-iteration certificate the round's payloads attach;
+    - ``proposals``: ``(channel sender, ProposeMsg)`` in send order.
+    """
+
+    __slots__ = ("kind", "iteration", "groups", "certificates", "proposals")
+
+    def __init__(self) -> None:
+        self.kind: Optional[type] = None
+        self.iteration = 0
+        self.groups: Dict[Tuple[int, Bit], Dict[NodeId, Any]] = {}
+        self.certificates: Dict[Bit, Tuple[Certificate, NodeId]] = {}
+        self.proposals: List[Tuple[NodeId, ProposeMsg]] = []
 
 
 class AbaNode(Node):
@@ -205,7 +231,26 @@ class AbaNode(Node):
     # -- inbox processing ------------------------------------------------------
     def _process_inbox(self, ctx: RoundContext) -> Optional[Tuple[int, Bit]]:
         """Validate and absorb every delivery; return a pending decision
-        ``(iteration, bit)`` if one became available."""
+        ``(iteration, bit)`` if one became available.
+
+        A plain round (every delivery an honest, unsuppressed multicast)
+        is absorbed from the round's shared tally when this node's view
+        of it is exact; anything else runs the per-delivery loop.
+        """
+        shared = ctx.shared
+        pending: Optional[Tuple[int, Bit]] = None
+        if not (shared is not None and shared.plain
+                and verification.CACHING_ENABLED
+                and self._apply_tally(self._round_tally(shared))):
+            pending = self._absorb_deliveries(ctx.inbox)
+        for (iteration, bit), commits in self.commits_seen.items():
+            if len(commits) >= self.config.threshold:
+                pending = (iteration, bit)
+        return pending
+
+    def _absorb_deliveries(self, inbox) -> Optional[Tuple[int, Bit]]:
+        """The per-delivery loop: run each message's handler in inbox
+        order; return the last adopted ``Terminate`` decision, if any."""
         pending: Optional[Tuple[int, Bit]] = None
         # The shared valid-payload front is probed inline: at n = 1536 a
         # single execution dispatches millions of deliveries, and the
@@ -217,7 +262,7 @@ class AbaNode(Node):
         # never subclassed in-tree) with an isinstance fallback so
         # out-of-tree subclasses keep the historical behavior.
         front = self._verification.valid_payloads
-        for delivery in ctx.inbox:
+        for delivery in inbox:
             msg = delivery.payload
             entry = front.get(id(msg))
             known = entry is not None and entry[0] is msg
@@ -246,54 +291,62 @@ class AbaNode(Node):
                 adopted = self._handle_terminate(msg, known)
                 if adopted is not None:
                     pending = adopted
-        for (iteration, bit), commits in self.commits_seen.items():
-            if len(commits) >= self.config.threshold:
-                pending = (iteration, bit)
         return pending
 
+    def _admit(self, msg: Any, valid: Callable[[Any], bool]) -> bool:
+        """Run ``msg``'s validator unless the shared front already holds
+        it, and record a success there.
+
+        Validation (not absorption) of a message is recipient-independent:
+        the first node to validate an exact object spares every other
+        recipient (see VerificationCache.is_known_valid).  Both the
+        per-delivery handlers (which pass the inlined front probe as
+        ``known`` and call this only on a miss) and the round tally
+        validate through here.
+        """
+        if self._verification.is_known_valid(msg):
+            return True
+        if not valid(msg):
+            return False
+        self._verification.mark_valid(msg)
+        return True
+
+    def _status_valid(self, msg: StatusMsg) -> bool:
+        topic = ("Status", msg.iteration, msg.bit)
+        if not self._check_auth(msg.sender, topic, msg.auth):
+            return False
+        return self._check_certificate(msg.certificate, expected_bit=msg.bit)
+
     def _handle_status(self, msg: StatusMsg, known: bool = False) -> None:
-        # Validation (not absorption) of a message is recipient-independent:
-        # the first recipient to validate this exact object spares the rest
-        # (see VerificationCache.is_known_valid; ``known`` is the inlined
-        # front probe from _process_inbox).  The handlers below follow the
-        # same shape: skip to the state updates on a front hit.
-        if not (known or self._verification.is_known_valid(msg)):
-            topic = ("Status", msg.iteration, msg.bit)
-            if not self._check_auth(msg.sender, topic, msg.auth):
-                return
-            if not self._check_certificate(msg.certificate,
-                                           expected_bit=msg.bit):
-                return
-            self._verification.mark_valid(msg)
-        self._absorb_certificate(msg.certificate)
+        if known or self._admit(msg, self._status_valid):
+            self._absorb_certificate(msg.certificate)
 
     def _handle_propose(self, msg: ProposeMsg, known: bool = False) -> None:
-        if not (known or self._verification.is_known_valid(msg)):
-            if not self._proposal_valid(msg):
-                return
-            self._verification.mark_valid(msg)
-        self._absorb_certificate(msg.certificate)
-        self.proposals.setdefault(msg.iteration, []).append(msg)
+        if known or self._admit(msg, self._proposal_valid):
+            self._absorb_certificate(msg.certificate)
+            self.proposals.setdefault(msg.iteration, []).append(msg)
+
+    def _vote_valid(self, msg: VoteMsg) -> bool:
+        if msg.bit not in (0, 1):
+            return False
+        topic = ("Vote", msg.iteration, msg.bit)
+        if not self._check_auth(msg.sender, topic, msg.auth):
+            return False
+        if msg.iteration > 1:
+            # Footnote 11: votes beyond iteration 1 carry the leader
+            # proposal that justifies them.
+            proposal = msg.proposal
+            if (proposal is None or proposal.iteration != msg.iteration
+                    or proposal.bit != msg.bit
+                    or not self._proposal_valid(proposal)):
+                return False
+        return True
 
     def _handle_vote(self, msg: VoteMsg, known: bool = False) -> None:
-        if not (known or self._verification.is_known_valid(msg)):
-            if msg.bit not in (0, 1):
-                return
-            topic = ("Vote", msg.iteration, msg.bit)
-            if not self._check_auth(msg.sender, topic, msg.auth):
-                return
+        if known or self._admit(msg, self._vote_valid):
             if msg.iteration > 1:
-                # Footnote 11: votes beyond iteration 1 carry the leader
-                # proposal that justifies them.
-                proposal = msg.proposal
-                if (proposal is None or proposal.iteration != msg.iteration
-                        or proposal.bit != msg.bit
-                        or not self._proposal_valid(proposal)):
-                    return
-            self._verification.mark_valid(msg)
-        if msg.iteration > 1:
-            self._absorb_certificate(msg.proposal.certificate)
-        self._record_vote(msg.iteration, msg.bit, msg.sender, msg.auth)
+                self._absorb_certificate(msg.proposal.certificate)
+            self._record_vote(msg.iteration, msg.bit, msg.sender, msg.auth)
 
     def _record_vote(self, iteration: int, bit: Bit, voter: NodeId,
                      auth: Any) -> None:
@@ -307,13 +360,13 @@ class AbaNode(Node):
             # the commit condition later holds.  Once best_cert holds an
             # iteration-r certificate for this bit, re-assembling one from
             # a larger vote set could never outrank it, so skip the
-            # (quadratic-in-n) rebuild on every extra vote.  Every node
-            # assembles the same certificate from the same quorum, so the
-            # intern arena collapses the n content-equal copies to one
+            # (quadratic-in-n) rebuild on every extra vote.  Nodes that
+            # assemble from the same quorum get the same certificate, so
+            # the intern arena collapses their content-equal copies to one
             # object — and every identity-keyed memo downstream (size
             # accounting, certificate fronts) hits for all of them.
-            self._absorb_certificate(intern_payload(certificate_from_votes(
-                iteration, bit, votes, self.config.threshold)))
+            self._absorb_certificate(certificate_from_votes(
+                iteration, bit, votes, self.config.threshold))
 
     def _commit_valid(self, msg: CommitMsg) -> bool:
         if msg.bit not in (0, 1):
@@ -328,13 +381,10 @@ class AbaNode(Node):
         return self._check_certificate(certificate, expected_bit=msg.bit)
 
     def _handle_commit(self, msg: CommitMsg, known: bool = False) -> None:
-        if not (known or self._verification.is_known_valid(msg)):
-            if not self._commit_valid(msg):
-                return
-            self._verification.mark_valid(msg)
-        self._absorb_certificate(msg.certificate)
-        self.commits_seen.setdefault(
-            (msg.iteration, msg.bit), {}).setdefault(msg.sender, msg)
+        if known or self._admit(msg, self._commit_valid):
+            self._absorb_certificate(msg.certificate)
+            self.commits_seen.setdefault(
+                (msg.iteration, msg.bit), {}).setdefault(msg.sender, msg)
 
     def _commit_ref_valid(self, commit: CommitMsg) -> bool:
         """Validity of a certificate-stripped commit inside a Terminate.
@@ -350,29 +400,161 @@ class AbaNode(Node):
         topic = ("Commit", commit.iteration, commit.bit)
         return self._check_auth(commit.sender, topic, commit.auth)
 
+    def _terminate_valid(self, msg: TerminateMsg) -> bool:
+        if msg.bit not in (0, 1):
+            return False
+        topic = ("Terminate", msg.bit)
+        if not self._check_auth(msg.sender, topic, msg.auth):
+            return False
+        senders = set()
+        for commit in msg.commits:
+            if (commit.iteration != msg.iteration or commit.bit != msg.bit
+                    or not self._commit_ref_valid(commit)):
+                return False
+            senders.add(commit.sender)
+        return len(senders) >= self.config.threshold
+
     def _handle_terminate(self, msg: TerminateMsg,
                           known: bool = False) -> Optional[Tuple[int, Bit]]:
-        if not (known or self._verification.is_known_valid(msg)):
-            if msg.bit not in (0, 1):
-                return None
-            topic = ("Terminate", msg.bit)
-            if not self._check_auth(msg.sender, topic, msg.auth):
-                return None
-            senders = set()
-            for commit in msg.commits:
-                if (commit.iteration != msg.iteration or commit.bit != msg.bit
-                        or not self._commit_ref_valid(commit)):
-                    return None
-                senders.add(commit.sender)
-            if len(senders) < self.config.threshold:
-                return None
-            self._verification.mark_valid(msg)
+        if not (known or self._admit(msg, self._terminate_valid)):
+            return None
         # Record the quorum so this node's own (relayed) Terminate can
         # attach it.
         recorded = self.commits_seen.setdefault((msg.iteration, msg.bit), {})
         for commit in msg.commits:
             recorded.setdefault(commit.sender, commit)
         return (msg.iteration, msg.bit)
+
+    # -- shared round tally ----------------------------------------------------
+    def _round_tally(self, shared: RoundInboxes) -> Optional["_RoundTally"]:
+        """This instance's tally of the plain round ``shared``, built by
+        the first of its nodes to ask and kept in the round's memo."""
+        memo = shared.memo
+        key = (_RoundTally, id(self.config))  # the config outlives the round
+        if key not in memo:
+            memo[key] = self._build_tally(shared.deliveries())
+        return memo[key]
+
+    def _build_tally(self, deliveries: List[Any]) -> Optional["_RoundTally"]:
+        """Validate and group one plain round's deliveries in send order.
+
+        Returns ``None`` — every node then runs the per-delivery loop —
+        unless the round is one payload kind at one iteration, every
+        payload names its channel sender, no sender repeats within a
+        group, every message validates, and each vote group's bit has no
+        attached certificate at or above the vote iteration (so the
+        quorum-crossing certificate outranks everything the round
+        absorbs).
+        """
+        tally = _RoundTally()
+        if not deliveries:
+            return tally
+        kind = deliveries[0].payload.__class__
+        valid = {StatusMsg: self._status_valid,
+                 ProposeMsg: self._proposal_valid,
+                 VoteMsg: self._vote_valid,
+                 CommitMsg: self._commit_valid}.get(kind)
+        if valid is None:
+            return None
+        iteration = deliveries[0].payload.iteration
+        front = self._verification.valid_payloads
+        groups = tally.groups
+        certificates = tally.certificates
+        for delivery in deliveries:
+            msg = delivery.payload
+            sender = delivery.sender
+            if (msg.__class__ is not kind or msg.iteration != iteration
+                    or msg.sender != sender):
+                return None
+            entry = front.get(id(msg))
+            if not ((entry is not None and entry[0] is msg)
+                    or self._admit(msg, valid)):
+                return None
+            if kind is VoteMsg:
+                certificate = (msg.proposal.certificate if iteration > 1
+                               else None)
+                value = msg.auth
+            else:
+                certificate = msg.certificate
+                value = msg
+            if kind is VoteMsg or kind is CommitMsg:
+                group = groups.setdefault((iteration, msg.bit), {})
+                if sender in group:
+                    return None
+                group[sender] = value
+            elif kind is ProposeMsg:
+                tally.proposals.append((sender, msg))
+            if certificate is not None:
+                held = certificates.get(certificate.bit)
+                if held is None or certificate.iteration > held[0].iteration:
+                    certificates[certificate.bit] = (certificate, sender)
+        if kind is VoteMsg:
+            for _, bit in groups:
+                held = certificates.get(bit)
+                if held is not None and held[0].iteration >= iteration:
+                    return None
+        tally.kind = kind
+        tally.iteration = iteration
+        return tally
+
+    def _apply_tally(self, tally: Optional["_RoundTally"]) -> bool:
+        """Absorb a plain round from its shared tally, minus this node's
+        own multicasts.
+
+        Returns ``False``, with no state touched, when the result could
+        differ from the per-delivery loop's; that is, when this node holds
+        state for a tallied group beyond its own entry, or its own entry
+        is not the one it multicast.  The quorum-crossing certificate is
+        rebuilt from the first ``threshold`` entries of the node's
+        insertion-ordered vote dict (its own vote first, then the others
+        in send order): exactly the set the per-delivery loop holds when
+        the quorum is reached.
+        """
+        if tally is None:
+            return False
+        me = self.node_id
+        best_cert = self.best_cert
+        for bit, (certificate, sender) in tally.certificates.items():
+            # The per-delivery loop never sees this node's own multicast;
+            # its attached certificate was absorbed before it was sent,
+            # which makes absorbing it again a no-op.
+            if sender == me and rank(best_cert[bit]) < certificate.iteration:
+                return False
+        is_vote = tally.kind is VoteMsg
+        seen = self.votes_seen if is_vote else self.commits_seen
+        threshold = self.config.threshold
+        for (iteration, bit), group in tally.groups.items():
+            mine = seen.get((iteration, bit))
+            if not mine:
+                if me in group:
+                    return False
+                continue
+            if len(mine) != 1 or me not in mine:
+                return False
+            if me in group and group[me] is not mine[me]:
+                return False
+            if (is_vote and len(mine) >= threshold
+                    and len(group) > (me in group)
+                    and rank(best_cert[bit]) < iteration):
+                # Already at quorum (threshold <= 1) without a certificate:
+                # the per-delivery loop would assemble one from its first
+                # insertion, not from the first ``threshold`` entries.
+                return False
+        for certificate, _ in tally.certificates.values():
+            self._absorb_certificate(certificate)
+        received = [msg for sender, msg in tally.proposals if sender != me]
+        if received:
+            self.proposals.setdefault(tally.iteration, []).extend(received)
+        for (iteration, bit), group in tally.groups.items():
+            mine = seen.setdefault((iteration, bit), {})
+            before = len(mine)
+            mine.update(group)
+            if (is_vote and before < threshold <= len(mine)
+                    and rank(best_cert[bit]) < iteration):
+                self._absorb_certificate(certificate_from_votes(
+                    iteration, bit, dict(islice(mine.items(), threshold)),
+                    threshold))
+        return True
 
     # -- decision ---------------------------------------------------------------
     def _terminate(self, ctx: RoundContext, iteration: int, bit: Bit) -> None:
@@ -479,8 +661,8 @@ class AbaNode(Node):
             opposing = self.votes_seen.get((iteration, other_bit(bit)), {})
             if len(votes) < self.config.threshold or opposing:
                 continue
-            certificate = intern_payload(certificate_from_votes(
-                iteration, bit, votes, self.config.threshold))
+            certificate = certificate_from_votes(
+                iteration, bit, votes, self.config.threshold)
             self._absorb_certificate(certificate)
             auth = self.config.authenticator.attempt(
                 self.node_id, ("Commit", iteration, bit))

@@ -552,8 +552,8 @@ class AdaptiveBaNode(Node):
             # Same-epoch certificates for both bits cannot coexist
             # (quorum overlap beats the double-voters); pick the first.
             bit = certified[0]
-            cert = intern_payload(certificate_from_votes(
-                epoch, bit, counts[bit], self.config.threshold))
+            cert = certificate_from_votes(
+                epoch, bit, counts[bit], self.config.threshold)
             auth = self.config.authenticator.attempt(
                 self.node_id, ("Propose", epoch, bit))
             if auth is None:

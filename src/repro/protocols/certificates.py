@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.protocols.messages import SignedVote
-from repro.serialization import _intern_field_key, intern_by_key, intern_payload
+from repro.serialization import (
+    _intern_column_key,
+    intern_by_key,
+    intern_columns,
+    intern_payload,
+)
 from repro.types import Bit
 
 #: Rank of the fictitious iteration-0 certificate (no certificate at all).
@@ -52,24 +57,25 @@ def certificate_from_votes(iteration: int, bit: Bit,
     collapses those to one object per vote, so identity-keyed memos
     (size accounting, tag caches) hit across all assemblers.
     """
-    chosen = sorted(votes.items())[:threshold]
+    # Sorting the (distinct) voter ids alone orders the votes exactly as
+    # sorting the items would, with int comparisons only.
+    voters = tuple(sorted(votes)[:threshold])
+    auths = tuple(map(votes.__getitem__, voters))
     # Assembly itself is interned: every honest node assembles this same
     # certificate from the same quorum of (shared) auth objects, so after
     # the first build the others resolve with one key construction and no
     # SignedVote wrapping at all.  The key pins its auth ids through the
     # representative's votes; vote wrapping inside the first build is
-    # interned too, so vote objects are shared even across certificates.
-    key = (Certificate, iteration, bit,
-           tuple([(voter, _intern_field_key(auth))
-                  for voter, auth in chosen]))
-    return intern_by_key(key, lambda: Certificate(
+    # interned too, so vote objects are shared even across certificates,
+    # and so is the first build itself, so the result is always the
+    # arena's representative of its content (callers need not re-intern).
+    key = (Certificate, iteration, bit, voters, _intern_column_key(auths))
+    return intern_by_key(key, lambda: intern_payload(Certificate(
         iteration=iteration,
         bit=bit,
-        votes=tuple(
-            intern_payload(SignedVote(iteration=iteration, bit=bit,
-                                      voter=voter, auth=auth))
-            for voter, auth in chosen),
-    ))
+        votes=tuple(intern_columns(SignedVote, (iteration,) * len(voters),
+                                   (bit,) * len(voters), voters, auths)),
+    )))
 
 
 def verify_certificate(certificate: Certificate, threshold: int,

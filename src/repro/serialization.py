@@ -38,7 +38,9 @@ historical ``isinstance`` dispatch order exactly, so subclass behavior
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict
+from itertools import repeat
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Sequence
 
 _WORD_BITS = 64
 _LEN_PREFIX_BITS = 32
@@ -324,8 +326,58 @@ def _intern_field_key(value: Any) -> Any:
     if cls in _SCALAR_TAG_CLASSES:
         return (value, cls)
     if cls is tuple:
-        return (tuple, tuple([_intern_field_key(item) for item in value]))
+        return (tuple, tuple(_intern_field_keys(value)))
     return (cls, id(value))
+
+
+_class_of = attrgetter("__class__")
+
+
+def _intern_field_keys(values: Sequence[Any]):
+    """``map(_intern_field_key, values)``, built at C speed when every
+    value is a scalar or every value is keyed by identity (a quorum of
+    auth objects, a tuple of interned votes)."""
+    classes = set(map(_class_of, values))
+    if classes <= _SCALAR_TAG_CLASSES:
+        return zip(values, map(_class_of, values))
+    if tuple not in classes and classes.isdisjoint(_SCALAR_TAG_CLASSES):
+        return zip(map(_class_of, values), map(id, values))
+    return map(_intern_field_key, values)
+
+
+def _intern_column_key(values: Sequence[Any]) -> tuple:
+    """One hashable key for a whole column of field values: two columns'
+    keys are equal exactly when their elements' :func:`_intern_field_key`
+    are pairwise equal.  A column keyed wholly by identity is keyed by its
+    ids alone (an int never equals the tuple any other element key is)."""
+    classes = set(map(_class_of, values))
+    if tuple not in classes and classes.isdisjoint(_SCALAR_TAG_CLASSES):
+        return tuple(map(id, values))
+    return tuple(_intern_field_keys(values))
+
+
+def intern_columns(cls: type, *columns: Sequence[Any]) -> List[Any]:
+    """``[intern_payload(cls(*row)) for row in zip(*columns)]`` for a
+    frozen dataclass ``cls`` whose fields are given column by column, in
+    declaration order.
+
+    The arena keys are the ones :func:`intern_payload` computes, built
+    per column at C speed, and a row whose representative already exists
+    is never constructed — the common case when many nodes wrap the same
+    shared auth objects into votes.
+    """
+    keys = zip(repeat(cls), *map(_intern_field_keys, columns))
+    reps = _INTERN_REPS
+    out = []
+    for key, row in zip(keys, zip(*columns)):
+        rep = reps.get(key)
+        if rep is None:
+            rep = cls(*row)
+            if len(reps) >= _SIZE_CACHE_LIMIT:
+                reps.clear()
+            reps[key] = rep
+        out.append(rep)
+    return out
 
 
 def intern_by_key(key: Any, factory: Callable[[], Any]) -> Any:

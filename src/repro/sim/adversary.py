@@ -20,6 +20,7 @@ accidentally exceed the model it claims to work in.
 from __future__ import annotations
 
 import abc
+import weakref
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import CapabilityError
@@ -36,7 +37,11 @@ class AdversaryApi:
     """Budget- and capability-checked access to the execution."""
 
     def __init__(self, simulation: "Simulation") -> None:
-        self._sim = simulation
+        # A proxy, not a reference: the simulation owns this API and its
+        # adversary holds it, so a strong reference would make every
+        # execution cyclic garbage that outlives the run until the next
+        # cyclic collection.
+        self._sim = weakref.proxy(simulation)
 
     # -- read-only view ---------------------------------------------------
     @property

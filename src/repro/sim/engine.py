@@ -43,7 +43,7 @@ from repro.sim.adversary import Adversary, AdversaryApi, PassiveAdversary
 from repro.sim.conditions import ConditionedNetwork, NetworkConditions
 from repro.sim.corruption import CorruptionController, CorruptionGrant
 from repro.sim.metrics import CommunicationMetrics
-from repro.sim.network import Envelope, SynchronousNetwork
+from repro.sim.network import Envelope, RoundInboxes, SynchronousNetwork
 from repro.sim.node import Node, RoundContext
 from repro.sim.result import ExecutionResult
 from repro.types import AdversaryModel, Bit, NodeId, Round
@@ -143,12 +143,16 @@ class Simulation:
 
     # -- the round loop ------------------------------------------------------
     def _honest_step(self, round_index: Round, inboxes) -> None:
+        # Lazy delivery hands each node the shared round view; its inbox
+        # list is built only if the node reads it.
+        shared = inboxes if isinstance(inboxes, RoundInboxes) else None
         for node in self.nodes:
             node_id = node.node_id
             if self.controller.is_corrupt(node_id) or node.halted:
                 continue
-            ctx = RoundContext(node_id, round_index, inboxes[node_id],
-                               self.rng_for_node(node_id))
+            ctx = RoundContext(node_id, round_index,
+                               None if shared is not None else inboxes[node_id],
+                               self.rng_for_node(node_id), shared)
             node.on_round(ctx)
             for recipient, payload in ctx.staged:
                 envelope = self.network.stage(

@@ -20,6 +20,12 @@ Inboxes that nothing reads (halted nodes, corrupt nodes whose adversary
 ignores them) cost nothing.  Delivery order within an inbox is still
 send order, and repeated runs still replay exactly.
 
+A round is *plain* when every surviving entry is a multicast from an
+honest sender with no per-recipient suppression: every node's inbox is
+then the same send-ordered list minus its own multicasts, so a protocol
+may aggregate the round once for all recipients (``AbaNode``'s shared
+round tally) and keep the result in the round's ``memo``.
+
 The recipient-set contract (multicast fan-out to everyone but the
 sender, sender self-skip on unicasts, per-``(envelope, recipient)``
 suppression) lives in exactly one place, :meth:`_surviving_entries`;
@@ -74,16 +80,24 @@ class RoundInboxes(Mapping):
     ``(sender, recipient, delivery, blocked)`` tuples — ``recipient`` is
     ``None`` for a multicast, ``blocked`` the (usually empty, shared)
     frozenset of suppressed recipients for that envelope.
+
+    ``plain`` says every entry is an honest, unsuppressed multicast, so
+    node ``i``'s inbox is :meth:`deliveries` without the ones ``i`` sent.
+    ``memo`` holds per-round aggregates computed by the first reader and
+    shared with the rest; it is dropped with the round.
     """
 
-    __slots__ = ("_n", "_entries", "_views")
+    __slots__ = ("_n", "_entries", "_views", "plain", "memo")
 
     def __init__(self, n: int,
                  entries: List[Tuple[NodeId, Optional[NodeId],
-                                     Delivery, FrozenSet[NodeId]]]) -> None:
+                                     Delivery, FrozenSet[NodeId]]],
+                 plain: bool = False) -> None:
         self._n = n
         self._entries = entries
         self._views: Dict[NodeId, List[Delivery]] = {}
+        self.plain = plain
+        self.memo: Dict[Any, Any] = {}
 
     def __getitem__(self, node: NodeId) -> List[Delivery]:
         view = self._views.get(node)
@@ -98,6 +112,10 @@ class RoundInboxes(Mapping):
             ]
             self._views[node] = view
         return view
+
+    def deliveries(self) -> List[Delivery]:
+        """Every surviving delivery of the round, in send order."""
+        return [entry[2] for entry in self._entries]
 
     def __iter__(self) -> Iterator[NodeId]:
         return iter(range(self._n))
@@ -257,11 +275,20 @@ class SynchronousNetwork:
         one frozen :class:`Delivery`) to the returned
         :class:`RoundInboxes` instead of ``n`` eager appends; recipients
         see it when their lazy inbox view materializes.
+
+        The round is marked plain unless some surviving entry is a
+        unicast, comes from a corrupt sender, or is suppressed for some
+        of its recipients (a fully removed envelope is absent for
+        everyone, so it does not count).
         """
-        entries = [
-            (envelope.sender, envelope.recipient, delivery, blocked)
-            for envelope, delivery, blocked in self._surviving_entries()
-        ]
+        entries = []
+        plain = True
+        for envelope, delivery, blocked in self._surviving_entries():
+            recipient = envelope.recipient
+            entries.append((envelope.sender, recipient, delivery, blocked))
+            if (recipient is not None or blocked
+                    or not envelope.honest_sender):
+                plain = False
         self._reset_window()
         self._delivered_round += 1
-        return RoundInboxes(self.n, entries)
+        return RoundInboxes(self.n, entries, plain)

@@ -15,21 +15,36 @@ import abc
 import random
 from typing import Any, List, Optional
 
-from repro.sim.network import Delivery
+from repro.sim.network import Delivery, RoundInboxes
 from repro.types import Bit, NodeId, Round
 
 
 class RoundContext:
-    """What a node sees and can do during one round."""
+    """What a node sees and can do during one round.
+
+    ``shared`` is the round's :class:`~repro.sim.network.RoundInboxes`
+    when the engine delivers through one; ``inbox`` (pass ``None``) then
+    materializes from it on first read, so a node that absorbs the round
+    from a shared aggregate never builds its own list.
+    """
 
     def __init__(self, node_id: NodeId, round_index: Round,
-                 inbox: List[Delivery], rng: random.Random) -> None:
+                 inbox: Optional[List[Delivery]], rng: random.Random,
+                 shared: Optional[RoundInboxes] = None) -> None:
         self.node_id = node_id
         self.round = round_index
-        self.inbox = inbox
+        self._inbox = inbox
         self.rng = rng
+        self.shared = shared
         #: Messages staged this round: (recipient | None, payload).
         self.staged: List[tuple[Optional[NodeId], Any]] = []
+
+    @property
+    def inbox(self) -> List[Delivery]:
+        inbox = self._inbox
+        if inbox is None:
+            inbox = self._inbox = self.shared[self.node_id]
+        return inbox
 
     def multicast(self, payload: Any) -> None:
         """Stage a multicast to all other nodes (the paper's only

@@ -1,5 +1,7 @@
 """Tests for the simulation engine round loop and adversary API."""
 
+import gc
+import weakref
 from typing import List, Optional
 
 import pytest
@@ -229,3 +231,25 @@ class TestCapabilityEnforcement:
         result = Simulation(nodes, 2, model=AdversaryModel.STATIC,
                             adversary=SetupCorruptor()).run()
         assert result.corrupt_set == {0}
+
+
+def test_finished_execution_is_freed_without_the_cycle_collector():
+    """The simulation, its network and its nodes go away by reference
+    counting once the caller drops them: the adversary API refers back
+    to the simulation only weakly, so a finished execution is not cyclic
+    garbage waiting (with every message it carried) for the collector."""
+    gc.disable()
+    try:
+        nodes = [EchoNode(i, 4) for i in range(4)]
+        adversary = RecordingAdversary()
+        simulation = Simulation(nodes, 1, adversary=adversary)
+        simulation.run()
+        freed = weakref.ref(simulation)
+        del simulation, nodes
+        assert freed() is None
+        # The adversary may outlive its execution; its API then reports
+        # the execution gone instead of keeping it alive.
+        with pytest.raises(ReferenceError):
+            adversary.api.n
+    finally:
+        gc.enable()

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
+from repro.sim.engine import Simulation
 from repro.sim.network import SynchronousNetwork
+from tests.test_engine import EchoNode
 
 
 class TestDelivery:
@@ -119,6 +121,62 @@ class TestSuppression:
         network.suppress(envelope, recipient=1)
         network.suppress(envelope)
         assert all(network.deliver()[node] == [] for node in range(4))
+
+
+class TestPlainRounds:
+    """A round is plain when every surviving entry is an honest,
+    unsuppressed multicast: each node's inbox is then the round's
+    send-ordered deliveries minus its own."""
+
+    @staticmethod
+    def _honest_round():
+        network = SynchronousNetwork(4)
+        for sender in range(4):
+            network.stage(sender, None, ("m", sender), 0, honest_sender=True)
+        return network
+
+    def test_honest_multicasts_are_plain(self):
+        inboxes = self._honest_round().deliver()
+        assert inboxes.plain
+        assert [d.payload for d in inboxes.deliveries()] == [
+            ("m", sender) for sender in range(4)]
+        assert [d.payload for d in inboxes[2]] == [
+            ("m", 0), ("m", 1), ("m", 3)]
+
+    def test_empty_round_is_plain(self):
+        inboxes = SynchronousNetwork(4).deliver()
+        assert inboxes.plain
+        assert inboxes.deliveries() == []
+
+    def test_fully_removed_envelope_keeps_the_round_plain(self):
+        network = self._honest_round()
+        network.suppress(network.in_flight()[1])
+        inboxes = network.deliver()
+        assert inboxes.plain
+        assert [d.sender for d in inboxes.deliveries()] == [0, 2, 3]
+
+    def test_unicast_is_not_plain(self):
+        network = self._honest_round()
+        network.stage(0, 2, "psst", 0, honest_sender=True)
+        assert not network.deliver().plain
+
+    def test_corrupt_sender_is_not_plain(self):
+        simulation = Simulation([EchoNode(i, 4) for i in range(4)], 1)
+        network = simulation.network
+        network.stage(0, None, "honest", 0, honest_sender=True)
+        simulation.stage_adversarial(3, None, "forged")
+        assert not network.deliver().plain
+
+    def test_single_recipient_removal_is_not_plain(self):
+        network = self._honest_round()
+        network.suppress(network.in_flight()[1], recipient=3)
+        assert not network.deliver().plain
+
+    def test_memo_is_per_round(self):
+        network = self._honest_round()
+        first = network.deliver()
+        first.memo["tally"] = object()
+        assert network.deliver().memo == {}
 
 
 class TestTranscript:
